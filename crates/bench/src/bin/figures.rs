@@ -6,30 +6,30 @@
 //! cargo run --release -p hyperpred-bench --bin figures table2
 //! cargo run --release -p hyperpred-bench --bin figures -- --scale test
 //! cargo run --release -p hyperpred-bench --bin figures -- --threads 4
-//! cargo run --release -p hyperpred-bench --bin figures -- --serial   # old one-cell-at-a-time loop
 //! cargo run --release -p hyperpred-bench --bin figures -- --keep-going
 //! ```
 //!
-//! By default the whole requested matrix runs through the parallel
-//! experiment engine (`run_matrix`), which compiles each distinct module
-//! once and simulates the shared 1-issue baseline once; `--serial` keeps
-//! the historical figure-at-a-time loop for A/B timing of the driver
-//! itself.
+//! Every invocation runs the requested matrix through one call of the
+//! parallel experiment engine (`run_matrix`), which compiles each distinct
+//! module once and simulates the shared 1-issue baseline once, and prints
+//! the engine summary on stderr (`--verbose` adds one line per cell).
 //!
 //! `--bench N` switches to the hot-path benchmark harness instead of
 //! printing tables: every (workload, model) simulation is timed for `N`
 //! reps after a warmup, the full matrix is timed the same way, and the
 //! report is written as JSON (default `BENCH_hotpath.json`).
-//! `--bench-baseline FILE` additionally applies the coarse regression
-//! guard: exit nonzero if aggregate emulated insts/sec fell more than
-//! 2x below the committed baseline.
+//! `--bench-baseline FILE` additionally applies the regression guard:
+//! exit nonzero if aggregate emulated insts/sec fell below 0.75x
+//! (`REGRESSION_FLOOR`) of the committed baseline.
 //!
-//! `--keep-going` switches the engine to `FailurePolicy::KeepGoing`:
-//! failed cells are contained and summarized on stderr, every healthy cell
-//! still appears in the tables, and the exit code is nonzero iff any cell
-//! failed. `--inject-faults` (implies `--keep-going`) appends the two
-//! fault fixtures — a compile-stage panic and a cycle-budget buster — to
-//! the workload list; CI uses it to prove containment end to end.
+//! By default the engine stops at the first failed cell
+//! (`FailurePolicy::FailFast`). `--keep-going` switches it to
+//! `FailurePolicy::KeepGoing`, so every healthy cell still runs.
+//! Either way a failed run prints the failure report on stderr and the
+//! tables of the healthy cells on stdout, and exits nonzero.
+//! `--inject-faults` (implies `--keep-going`) appends the two fault
+//! fixtures — a compile-stage panic and a cycle-budget buster — to the
+//! workload list; CI uses it to prove containment end to end.
 //!
 //! The durability flags (each implies `--keep-going`):
 //!
@@ -45,15 +45,14 @@
 //!   hook: a deterministic "killed mid-run" for the resume tests).
 
 use hyperpred::faults::{cycle_hog_fixture, panic_fixture};
+use hyperpred::workloads::Scale;
 use hyperpred::{
-    branch_table, instruction_table, run_experiment, run_matrix_configured, run_matrix_with_stats,
-    speedup_table, summarize_run, BenchResult, Experiment, FailurePolicy, MatrixConfig, Pipeline,
-    RetryPolicy, RunJournal, TriageConfig,
+    branch_table, instruction_table, run_matrix, speedup_table, summarize_run, BenchResult,
+    Experiment, FailurePolicy, MatrixConfig, Pipeline, RetryPolicy, RunJournal, TriageConfig,
 };
 use hyperpred_bench::hotpath::{check_regression, run_bench, BenchConfig};
-use hyperpred_workloads::Scale;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Cycle budget used with `--inject-faults`: far above any test-scale
 /// workload (tens of thousands of cycles) and far below the hog fixture
@@ -63,7 +62,6 @@ const INJECT_MAX_CYCLES: u64 = 2_000_000;
 struct Options {
     scale: Scale,
     threads: usize,
-    serial: bool,
     verbose: bool,
     keep_going: bool,
     inject_faults: bool,
@@ -81,7 +79,7 @@ struct Options {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: figures [fig8|fig9|fig10|fig11|table2|table3 ...] \
-         [--scale test|full] [--threads N] [--serial] [--verbose] \
+         [--scale test|full] [--threads N] [--verbose] \
          [--keep-going] [--inject-faults] \
          [--resume journal.jsonl] [--retries N] [--deadline SECS] \
          [--triage DIR] [--max-cells N] \
@@ -94,7 +92,6 @@ fn parse_args() -> Result<Options, ExitCode> {
     let mut opts = Options {
         scale: Scale::Full,
         threads: 0,
-        serial: false,
         verbose: false,
         keep_going: false,
         inject_faults: false,
@@ -124,7 +121,6 @@ fn parse_args() -> Result<Options, ExitCode> {
             "--threads" => {
                 opts.threads = it.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?;
             }
-            "--serial" => opts.serial = true,
             "--verbose" => opts.verbose = true,
             "--keep-going" => opts.keep_going = true,
             "--inject-faults" => {
@@ -231,7 +227,6 @@ fn main() -> ExitCode {
     }
     let all = opts.which.is_empty();
     let wants = |name: &str| all || opts.which.iter().any(|w| w == name);
-    let pipe = Pipeline::default();
 
     // Figure 8's results also provide Tables 2 and 3.
     let need = [
@@ -252,95 +247,63 @@ fn main() -> ExitCode {
     if selected.is_empty() {
         return usage();
     }
-    let exps: Vec<Experiment> = selected.iter().map(|(_, e)| *e).collect();
+    let mut exps: Vec<Experiment> = selected.iter().map(|(_, e)| *e).collect();
 
-    let started = Instant::now();
-    let mut any_failed = false;
-    let figures: Vec<Vec<BenchResult>> = if opts.keep_going {
-        let mut pipe = pipe;
-        let mut exps = exps.clone();
-        let mut workloads = hyperpred::workloads::all(opts.scale);
-        if opts.inject_faults {
-            pipe.fault_injection = true;
-            for e in &mut exps {
-                e.max_cycles = INJECT_MAX_CYCLES;
-            }
-            workloads.push(panic_fixture());
-            workloads.push(cycle_hog_fixture(4_000_000));
+    let mut pipe = Pipeline::default();
+    let mut workloads = hyperpred::workloads::all(opts.scale);
+    if opts.inject_faults {
+        pipe.fault_injection = true;
+        for e in &mut exps {
+            e.max_cycles = INJECT_MAX_CYCLES;
         }
-        let journal = match &opts.resume {
-            Some(p) => match RunJournal::open(p) {
-                Ok(j) => Some(j),
-                Err(e) => {
-                    eprintln!("figures: cannot open journal {p}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => None,
-        };
-        let triage = opts.triage.as_ref().map(TriageConfig::new);
-        let run = run_matrix_configured(
-            &exps,
-            &workloads,
-            &pipe,
-            &MatrixConfig {
-                threads: opts.threads,
-                policy: FailurePolicy::KeepGoing,
-                retry: RetryPolicy {
-                    max_attempts: opts.retries.max(1),
-                    backoff: Duration::from_millis(50),
-                },
-                deadline: opts.deadline.map(Duration::from_secs_f64),
-                journal: journal.as_ref(),
-                triage: triage.as_ref(),
-                cell_limit: opts.max_cells,
-            },
-        );
-        let summary = summarize_run(&run);
-        eprintln!("{}", summary.text);
-        if opts.verbose {
-            for cell in &run.stats.cells {
-                eprintln!("  {cell}");
-            }
-        }
-        any_failed = summary.failed;
-        // Tables are rendered from the healthy slots only.
-        run.outcomes
-            .iter()
-            .map(|row| row.iter().filter_map(|o| o.ok().cloned()).collect())
-            .collect()
-    } else if opts.serial {
-        let r: Result<Vec<_>, _> = exps
-            .iter()
-            .map(|exp| run_experiment(exp, opts.scale, &pipe))
-            .collect();
-        match r {
-            Ok(f) => {
-                eprintln!("serial loop: {:.2?}", started.elapsed());
-                f
-            }
+        workloads.push(panic_fixture());
+        workloads.push(cycle_hog_fixture(4_000_000));
+    }
+    let journal = match &opts.resume {
+        Some(p) => match RunJournal::open(p) {
+            Ok(j) => Some(j),
             Err(e) => {
-                eprintln!("figures: {e}");
+                eprintln!("figures: cannot open journal {p}: {e}");
                 return ExitCode::FAILURE;
             }
-        }
-    } else {
-        match run_matrix_with_stats(&exps, opts.scale, &pipe, opts.threads) {
-            Ok(out) => {
-                eprintln!("{}", out.stats.summary());
-                if opts.verbose {
-                    for cell in &out.stats.cells {
-                        eprintln!("  {cell}");
-                    }
-                }
-                out.figures
-            }
-            Err(e) => {
-                eprintln!("figures: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        },
+        None => None,
     };
+    let triage = opts.triage.as_ref().map(TriageConfig::new);
+    let run = run_matrix(
+        &exps,
+        &workloads,
+        &pipe,
+        &MatrixConfig {
+            threads: opts.threads,
+            policy: if opts.keep_going {
+                FailurePolicy::KeepGoing
+            } else {
+                FailurePolicy::FailFast
+            },
+            retry: RetryPolicy {
+                max_attempts: opts.retries.max(1),
+                backoff: Duration::from_millis(50),
+            },
+            deadline: opts.deadline.map(Duration::from_secs_f64),
+            journal: journal.as_ref(),
+            triage: triage.as_ref(),
+            cell_limit: opts.max_cells,
+        },
+    );
+    let summary = summarize_run(&run);
+    eprintln!("{}", summary.text);
+    if opts.verbose {
+        for cell in &run.stats.cells {
+            eprintln!("  {cell}");
+        }
+    }
+    // Tables are rendered from the healthy slots only.
+    let figures: Vec<Vec<BenchResult>> = run
+        .outcomes
+        .iter()
+        .map(|row| row.iter().filter_map(|o| o.ok().cloned()).collect())
+        .collect();
 
     let mut fig8_results = None;
     for ((name, exp), results) in selected.iter().zip(figures.iter()) {
@@ -359,7 +322,7 @@ fn main() -> ExitCode {
             println!("{}", branch_table(r));
         }
     }
-    if any_failed {
+    if summary.failed {
         eprintln!("figures: run incomplete (failed or unclaimed cells); tables above are partial");
         return ExitCode::FAILURE;
     }

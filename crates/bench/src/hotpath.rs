@@ -35,7 +35,7 @@ use hyperpred::lang::lower::entry_args;
 use hyperpred::sched::MachineConfig;
 use hyperpred::sim::{simulate_decoded, SimConfig, SimStats};
 use hyperpred::workloads::Scale;
-use hyperpred::{run_matrix_with_stats, Experiment, Model, Pipeline, PipelineError};
+use hyperpred::{run_matrix, Experiment, MatrixConfig, Model, Pipeline, PipelineError};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -347,7 +347,12 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, PipelineError> {
     let mut matrix_samples = Vec::with_capacity(reps);
     for rep in 0..=reps {
         let t = Instant::now();
-        run_matrix_with_stats(&exps, cfg.scale, &pipe, cfg.threads)?;
+        let workloads = hyperpred::workloads::all(cfg.scale);
+        let matrix = MatrixConfig {
+            threads: cfg.threads,
+            ..MatrixConfig::default()
+        };
+        run_matrix(&exps, &workloads, &pipe, &matrix).into_figures()?;
         let dt = t.elapsed().as_secs_f64();
         if rep > 0 {
             matrix_samples.push(dt);

@@ -1,7 +1,4 @@
-//! Benchmark-harness support (see the `figures` binary and Criterion
-//! benches under `benches/`).
-
-/// Re-exported so the benches and the `figures` binary share one facade.
-pub use hyperpred::*;
+//! Benchmark-harness support for the `figures` binary: the hot-path
+//! timing harness behind `figures --bench`.
 
 pub mod hotpath;

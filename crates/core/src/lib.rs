@@ -62,11 +62,9 @@ pub use experiments::{
 pub use fsck::{fsck, FsckOptions, FsckReport};
 pub use journal::{fnv64, JournalConflict, JournalEntry, RecordOutcome, RunJournal};
 pub use matrix::{
-    request_fingerprint, run_matrix, run_matrix_configured, run_matrix_policy,
-    run_matrix_with_stats, run_matrix_workloads, run_matrix_workloads_policy, run_request,
-    CellFailure, CellOutcome, CellRequest, CellStat, EngineStats, FailurePayload, FailurePolicy,
-    FailureReport, FailureStage, MatrixConfig, MatrixOutput, MatrixRun, RequestConfig,
-    RequestFailure, RetryPolicy, MAX_REQUEST_ISSUE,
+    request_fingerprint, run_matrix, run_request, service_namespace, CellFailure, CellOutcome,
+    CellRequest, CellStat, EngineStats, FailurePayload, FailurePolicy, FailureReport, FailureStage,
+    MatrixConfig, MatrixRun, RequestConfig, RequestFailure, RetryPolicy, MAX_REQUEST_ISSUE,
 };
 pub use pipeline::{
     compile_model, evaluate, speedup, Degradation, LintError, Model, Pipeline, PipelineError, Stage,

@@ -18,7 +18,7 @@
 //! memo simulates each workload's denominator once, and a
 //! `std::thread::scope` work queue spreads the remaining cells over
 //! `threads` workers. Results are bit-identical to the serial
-//! [`run_experiment`](crate::experiments::run_experiment) path because
+//! [`run_workload`](crate::experiments::run_workload) path because
 //! every pass and the simulator are deterministic; the engine only
 //! deduplicates and reorders work, it never changes it.
 //!
@@ -35,13 +35,14 @@
 //! one cell can hold a worker. Under [`FailurePolicy::KeepGoing`] the
 //! engine finishes every healthy cell and returns partial results plus a
 //! structured [`FailureReport`]; [`FailurePolicy::FailFast`] (the
-//! default-compatible mode) abandons remaining cells after the first
-//! failure, as the pre-isolation engine did.
+//! default) abandons remaining cells after the first failure, as the
+//! pre-isolation engine did. [`MatrixRun::into_figures`] is the
+//! all-cells-succeeded view: the first failure comes back as an error.
 //!
 //! # Durability
 //!
-//! [`run_matrix_configured`] layers crash-safety on top of isolation via
-//! a [`MatrixConfig`]:
+//! [`run_matrix`] layers crash-safety on top of isolation via a
+//! [`MatrixConfig`]:
 //!
 //! * a [`RunJournal`] makes runs *resumable*: every completed cell is
 //!   appended (fingerprint-keyed) to an append-only JSONL file, and a
@@ -72,7 +73,7 @@ use hyperpred_sched::MachineConfig;
 use hyperpred_sim::{
     simulate_decoded, MemoryModel, SimConfig, SimError, SimStats, DEFAULT_CYCLE_LIMIT,
 };
-use hyperpred_workloads::{Scale, Workload};
+use hyperpred_workloads::Workload;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -206,7 +207,7 @@ impl fmt::Display for CellStat {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FailurePolicy {
     /// Abandon remaining cells after the first failure (the historical
-    /// behavior; [`run_matrix`] uses this and surfaces the error).
+    /// behavior, and the default).
     #[default]
     FailFast,
     /// Finish every remaining cell; failed cells are reported in the
@@ -365,6 +366,47 @@ pub struct MatrixRun {
     pub interrupted: bool,
 }
 
+impl MatrixRun {
+    /// The all-cells-succeeded view: per-experiment results in the order
+    /// the experiments were given, each in workload order.
+    ///
+    /// # Errors
+    /// The first recorded typed failure. A model whose simulated result
+    /// diverges from the baseline's comes back as
+    /// [`PipelineError::Diverged`].
+    ///
+    /// # Panics
+    /// Re-raises a contained cell panic (like the serial path) — that is a
+    /// compiler bug, not an input error. Also panics on a run cut short by
+    /// [`MatrixConfig::cell_limit`], which has no complete view.
+    pub fn into_figures(self) -> Result<Vec<Vec<BenchResult>>, PipelineError> {
+        if let Some(first) = self.report.failures.into_iter().next() {
+            match first.payload {
+                FailurePayload::Error(e) => return Err(e),
+                FailurePayload::Panic(msg) => panic!(
+                    "matrix cell {} / {} panicked: {msg}",
+                    first.workload, first.experiment
+                ),
+            }
+        }
+        let figures = self
+            .outcomes
+            .into_iter()
+            .map(|row| {
+                row.into_iter()
+                    .map(|o| match o {
+                        CellOutcome::Ok(r) => r,
+                        CellOutcome::Failed(_) | CellOutcome::Skipped => {
+                            panic!("matrix run was interrupted before every cell ran")
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        Ok(figures)
+    }
+}
+
 /// How often (and how patiently) a failing cell is re-run before its
 /// failure becomes permanent. Only *plausibly transient* failures are
 /// retried: contained panics and watchdog trips
@@ -409,18 +451,6 @@ pub struct MatrixConfig<'a> {
     /// Stop claiming cells past this queue index (test/chaos hook: makes
     /// "killed mid-run" deterministic; the run reports `interrupted`).
     pub cell_limit: Option<usize>,
-}
-
-/// Matrix results plus the engine's own performance counters (the
-/// all-cells-succeeded view; see [`MatrixRun`] for the fault-tolerant
-/// one).
-#[derive(Debug)]
-pub struct MatrixOutput {
-    /// Per-experiment results, in the order the experiments were given;
-    /// within each, per-workload results in workload order.
-    pub figures: Vec<Vec<BenchResult>>,
-    /// Engine accounting (cache hits, per-cell wall times).
-    pub stats: EngineStats,
 }
 
 // ---------------------------------------------------------------------------
@@ -503,19 +533,16 @@ pub(crate) fn catch_cell<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 // Shared compile cache with failure memoization.
 // ---------------------------------------------------------------------------
 
+/// Why one attempt at a cell (or one memoized compile) failed: the stage
+/// it failed in and the error or captured panic.
+type CellError = (FailureStage, FailurePayload);
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CompileKey {
     workload: usize,
     model: Model,
     issue: u32,
     branches: u32,
-}
-
-/// A memoized compile failure, replayed cheaply for every dependent cell.
-#[derive(Debug, Clone)]
-struct SharedFailure {
-    stage: FailureStage,
-    payload: FailurePayload,
 }
 
 /// A successfully compiled cell: the scheduled module plus its
@@ -529,12 +556,13 @@ struct CompiledUnit {
     decoded: Arc<DecodedModule>,
 }
 
-/// One shared once-per-key slot; `Err` marks a memoized failed compile.
-type CompileSlot = Arc<OnceLock<Result<CompiledUnit, SharedFailure>>>;
+/// One shared once-per-key slot; `Err` marks a memoized failed compile,
+/// replayed cheaply for every dependent cell.
+type CompileSlot = Arc<OnceLock<Result<CompiledUnit, CellError>>>;
 
 /// One shared per-workload slot for the model-independent front half
 /// (frontend → pre-formation optimization → profiling run).
-type FrontSlot = Arc<OnceLock<Result<Arc<FrontOutput>, SharedFailure>>>;
+type FrontSlot = Arc<OnceLock<Result<Arc<FrontOutput>, CellError>>>;
 
 /// Each distinct (workload, model, machine) module is compiled exactly
 /// once; concurrent requesters block on the same [`OnceLock`] rather than
@@ -569,6 +597,19 @@ pub(crate) fn stage_of(e: &PipelineError) -> FailureStage {
     }
 }
 
+/// Flattens a [`catch_cell`] result: a typed error keeps the stage it
+/// names, a contained panic is charged to `panic_stage`.
+fn contained<T>(
+    caught: Result<Result<T, PipelineError>, String>,
+    panic_stage: FailureStage,
+) -> Result<T, CellError> {
+    match caught {
+        Ok(Ok(v)) => Ok(v),
+        Ok(Err(e)) => Err((stage_of(&e), FailurePayload::Error(e))),
+        Err(panic_msg) => Err((panic_stage, FailurePayload::Panic(panic_msg))),
+    }
+}
+
 impl CompileCache {
     fn new() -> CompileCache {
         CompileCache {
@@ -587,7 +628,7 @@ impl CompileCache {
         workload: usize,
         w: &Workload,
         pipe: &Pipeline,
-    ) -> Result<Arc<FrontOutput>, SharedFailure> {
+    ) -> Result<Arc<FrontOutput>, CellError> {
         let slot = {
             let mut fronts = lock_tolerant(&self.fronts);
             Arc::clone(fronts.entry(workload).or_default())
@@ -595,17 +636,11 @@ impl CompileCache {
         let mut fresh = false;
         let front = slot.get_or_init(|| {
             fresh = true;
-            match catch_cell(|| pipe.front(&w.source, &w.args)) {
-                Ok(Ok(f)) => Ok(Arc::new(f)),
-                Ok(Err(e)) => Err(SharedFailure {
-                    stage: stage_of(&e),
-                    payload: FailurePayload::Error(e),
-                }),
-                Err(panic_msg) => Err(SharedFailure {
-                    stage: FailureStage::Compile,
-                    payload: FailurePayload::Panic(panic_msg),
-                }),
-            }
+            contained(
+                catch_cell(|| pipe.front(&w.source, &w.args)),
+                FailureStage::Compile,
+            )
+            .map(Arc::new)
         });
         if fresh {
             self.front_computes.fetch_add(1, Ordering::Relaxed);
@@ -619,10 +654,8 @@ impl CompileCache {
         &self,
         key: CompileKey,
         w: &Workload,
-        model: Model,
-        machine: &MachineConfig,
         pipe: &Pipeline,
-    ) -> Result<CompiledUnit, SharedFailure> {
+    ) -> Result<CompiledUnit, CellError> {
         let cell = {
             let mut slots = lock_tolerant(&self.slots);
             Arc::clone(slots.entry(key).or_default())
@@ -635,23 +668,15 @@ impl CompileCache {
             // front (frontend error, profiling fault, injected panic) is
             // memoized once and replayed to every dependent key.
             let front = self.get_or_front(key.workload, w, pipe)?;
+            let machine = MachineConfig::new(key.issue, key.branches);
             // Panics inside the pipeline are contained *here* so the slot
             // is still initialized (as failed) for everyone waiting on it.
-            match catch_cell(|| pipe.finish(&front, model, machine)) {
-                Ok(Ok(m)) => {
-                    let module = Arc::new(m);
-                    let decoded = Arc::new(DecodedModule::decode(&module));
-                    Ok(CompiledUnit { module, decoded })
-                }
-                Ok(Err(e)) => Err(SharedFailure {
-                    stage: stage_of(&e),
-                    payload: FailurePayload::Error(e),
-                }),
-                Err(panic_msg) => Err(SharedFailure {
-                    stage: FailureStage::Compile,
-                    payload: FailurePayload::Panic(panic_msg),
-                }),
-            }
+            let module = Arc::new(contained(
+                catch_cell(|| pipe.finish(&front, key.model, &machine)),
+                FailureStage::Compile,
+            )?);
+            let decoded = Arc::new(DecodedModule::decode(&module));
+            Ok(CompiledUnit { module, decoded })
         });
         if fresh {
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -746,7 +771,7 @@ impl Cell {
 }
 
 /// The machine/simulation parameters a cell runs under — the part of its
-/// identity shared by fingerprinting and triage.
+/// identity shared by compiling, simulating, fingerprinting and triage.
 struct CellParams {
     experiment: &'static str,
     model: Option<Model>,
@@ -754,6 +779,22 @@ struct CellParams {
     branches: u32,
     memory: MemoryModel,
     max_cycles: u64,
+}
+
+impl CellParams {
+    fn machine(&self) -> MachineConfig {
+        MachineConfig::new(self.issue, self.branches)
+    }
+
+    /// The cell's memory model and cycle budget; every other simulator
+    /// knob (the predictor) is the default all figures share.
+    fn sim(&self) -> SimConfig {
+        SimConfig {
+            memory: self.memory,
+            max_cycles: self.max_cycles,
+            ..SimConfig::default()
+        }
+    }
 }
 
 fn params_of(cell: Cell, exps: &[Experiment]) -> CellParams {
@@ -779,38 +820,43 @@ fn params_of(cell: Cell, exps: &[Experiment]) -> CellParams {
     }
 }
 
+/// The compile-cache key of a cell; the baseline compiles the superblock
+/// model for the 1-issue machine.
 fn key_of(cell: Cell, exps: &[Experiment]) -> CompileKey {
-    match cell {
-        Cell::Baseline { w } => CompileKey {
-            workload: w,
-            model: Model::Superblock,
-            issue: 1,
-            branches: 1,
-        },
-        Cell::Model { e, w, m } => CompileKey {
-            workload: w,
-            model: Model::ALL[m],
-            issue: exps[e].issue,
-            branches: exps[e].branches,
-        },
+    let p = params_of(cell, exps);
+    CompileKey {
+        workload: cell.workload(),
+        model: p.model.unwrap_or(Model::Superblock),
+        issue: p.issue,
+        branches: p.branches,
     }
 }
 
-/// The journal key of a cell: an FNV-1a hash over a canonical string of
-/// everything that determines its stats (crate version, the full pipeline
-/// config, workload name + source hash + args, experiment, model, and the
-/// machine/simulation parameters). See the [`crate::journal`] docs for
-/// why the key is deliberately conservative.
-fn fingerprint(cell: Cell, exps: &[Experiment], workloads: &[Workload], pipe: &Pipeline) -> String {
-    let wl = &workloads[cell.workload()];
-    let p = params_of(cell, exps);
+/// The index of a cell's result slot among `workloads` workloads: the
+/// shared baselines first, then the model cells experiment-major — the
+/// order the engine queues them in.
+fn slot_of(cell: Cell, workloads: usize) -> usize {
+    match cell {
+        Cell::Baseline { w } => w,
+        Cell::Model { e, w, m } => workloads + (e * workloads + w) * Model::ALL.len() + m,
+    }
+}
+
+/// The content address shared by matrix cells and service requests: an
+/// FNV-1a hash over a canonical string of everything that determines a
+/// cell's stats (crate version, the full pipeline config, name + source
+/// hash + args, experiment, model, and the machine/simulation
+/// parameters). See the [`crate::journal`] docs for why the key is
+/// deliberately conservative. Existing journals and stores are keyed by
+/// it, so its format must not change.
+fn content_key(pipe: &Pipeline, name: &str, source: &str, args: &[i64], p: &CellParams) -> String {
     let canonical = format!(
         "v{}|pipe{:016x}|{}|src{:016x}|args{:?}|{}|{}|issue{}|br{}|{:?}|cycles{}",
         env!("CARGO_PKG_VERSION"),
         fnv64(format!("{pipe:?}").as_bytes()),
-        wl.name,
-        fnv64(wl.source.as_bytes()),
-        wl.args,
+        name,
+        fnv64(source.as_bytes()),
+        args,
         p.experiment,
         model_slug(p.model),
         p.issue,
@@ -819,6 +865,12 @@ fn fingerprint(cell: Cell, exps: &[Experiment], workloads: &[Workload], pipe: &P
         p.max_cycles,
     );
     format!("{:016x}", fnv64(canonical.as_bytes()))
+}
+
+/// The journal key of a matrix cell.
+fn fingerprint(cell: Cell, exps: &[Experiment], workloads: &[Workload], pipe: &Pipeline) -> String {
+    let wl = &workloads[cell.workload()];
+    content_key(pipe, wl.name, &wl.source, &wl.args, &params_of(cell, exps))
 }
 
 /// Fills a result slot. An identical duplicate fill (a lost race between
@@ -831,7 +883,7 @@ fn fill_slot(
     stats: SimStats,
     workload: &str,
     model: Option<Model>,
-) -> Result<(), (FailureStage, FailurePayload)> {
+) -> Result<(), CellError> {
     if let Err(rejected) = slot.set(stats) {
         match slot.get() {
             Some(held) if *held == rejected => {}
@@ -867,142 +919,84 @@ fn retryable(payload: &FailurePayload) -> bool {
     }
 }
 
-/// Runs `exps` over the standard workload suite at `scale` with `threads`
-/// workers (0 = one per available core). See [`run_matrix_workloads`].
-///
-/// # Errors
-/// Propagates the first pipeline failure; remaining cells are abandoned.
-pub fn run_matrix(
-    exps: &[Experiment],
-    scale: Scale,
-    pipe: &Pipeline,
-    threads: usize,
-) -> Result<Vec<Vec<BenchResult>>, PipelineError> {
-    run_matrix_with_stats(exps, scale, pipe, threads).map(|out| out.figures)
-}
-
-/// Like [`run_matrix`], but also returns the engine's cache and wall-time
-/// counters.
-///
-/// # Errors
-/// Propagates the first pipeline failure; remaining cells are abandoned.
-pub fn run_matrix_with_stats(
-    exps: &[Experiment],
-    scale: Scale,
-    pipe: &Pipeline,
-    threads: usize,
-) -> Result<MatrixOutput, PipelineError> {
-    let workloads = hyperpred_workloads::all(scale);
-    run_matrix_workloads(exps, &workloads, pipe, threads)
-}
-
-/// Fault-isolated engine run over the standard suite at `scale` under
-/// `policy`. Never returns an error: failed cells are contained and
-/// reported in [`MatrixRun::report`].
-pub fn run_matrix_policy(
-    exps: &[Experiment],
-    scale: Scale,
-    pipe: &Pipeline,
-    threads: usize,
-    policy: FailurePolicy,
-) -> MatrixRun {
-    let workloads = hyperpred_workloads::all(scale);
-    run_matrix_workloads_policy(exps, &workloads, pipe, threads, policy)
-}
-
-/// Compatibility wrapper over [`run_matrix_workloads_policy`]: runs under
-/// [`FailurePolicy::FailFast`] and surfaces the first failure.
-///
-/// # Errors
-/// Propagates the first pipeline failure; remaining cells are abandoned.
-/// A model whose simulated result diverges from the baseline's comes back
-/// as [`PipelineError::Diverged`].
-///
-/// # Panics
-/// Panics (like the serial path) if a cell *panicked* — the contained
-/// message is re-raised. That is a compiler bug, not an input error.
-pub fn run_matrix_workloads(
-    exps: &[Experiment],
-    workloads: &[Workload],
-    pipe: &Pipeline,
-    threads: usize,
-) -> Result<MatrixOutput, PipelineError> {
-    let run = run_matrix_workloads_policy(exps, workloads, pipe, threads, FailurePolicy::FailFast);
-    let MatrixRun {
-        outcomes,
-        stats,
-        mut report,
-        ..
-    } = run;
-    if let Some(first) = report.failures.drain(..).next() {
-        match first.payload {
-            FailurePayload::Error(e) => return Err(e),
-            FailurePayload::Panic(msg) => panic!(
-                "matrix cell {} / {} panicked: {msg}",
-                first.workload, first.experiment
-            ),
+/// The attempt loop shared by matrix cells and service requests: runs
+/// `attempt` until it succeeds, fails permanently (not [`retryable`]), or
+/// has spent `retry.max_attempts`. Before each retry it calls
+/// `before_retry` and sleeps the backoff. `identity` tags any panic
+/// captured meanwhile. Returns the last outcome and the attempts spent.
+fn with_retries<T>(
+    identity: String,
+    retry: RetryPolicy,
+    mut attempt: impl FnMut() -> Result<T, CellError>,
+    mut before_retry: impl FnMut(),
+) -> (Result<T, CellError>, u32) {
+    CELL_IDENTITY.with(|c| *c.borrow_mut() = Some(identity));
+    let mut attempts = 0u32;
+    let outcome = loop {
+        attempts += 1;
+        match attempt() {
+            Err((_, payload)) if retryable(&payload) && attempts < retry.max_attempts.max(1) => {
+                before_retry();
+                if !retry.backoff.is_zero() {
+                    std::thread::sleep(retry.backoff);
+                }
+            }
+            done => break done,
         }
-    }
-    let figures = outcomes
-        .into_iter()
-        .map(|row| {
-            row.into_iter()
-                .map(|o| match o {
-                    CellOutcome::Ok(r) => r,
-                    CellOutcome::Failed(_) | CellOutcome::Skipped => {
-                        unreachable!("empty failure report implies all cells completed")
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    Ok(MatrixOutput { figures, stats })
+    };
+    CELL_IDENTITY.with(|c| *c.borrow_mut() = None);
+    (outcome, attempts)
 }
 
-/// The engine core: runs every (experiment × workload × model) cell of the
-/// matrix over `threads` scoped workers, compiling each distinct module
-/// once and simulating each workload's baseline denominator once. Each
-/// cell is wrapped in `catch_unwind` and the watchdog budget of
-/// [`Experiment::max_cycles`], so one sick cell cannot take down the run.
+/// Simulates a compiled module from `main(args)`, arming `sim`'s
+/// cooperative wall-clock deadline `deadline` from now (the cycle budget
+/// bounds simulated work, the deadline bounds host time).
+fn simulate_within(
+    module: &Module,
+    decoded: &Arc<DecodedModule>,
+    args: &[i64],
+    machine: MachineConfig,
+    mut sim: SimConfig,
+    deadline: Option<Duration>,
+) -> Result<SimStats, PipelineError> {
+    if let Some(d) = deadline {
+        sim.deadline = Some(Instant::now() + d);
+    }
+    Ok(simulate_decoded(
+        module,
+        decoded,
+        "main",
+        &entry_args(args),
+        machine,
+        sim,
+    )?)
+}
+
+/// The engine: runs every (experiment × workload × model) cell of the
+/// matrix over `cfg.threads` scoped workers, compiling each distinct
+/// module once and simulating each workload's baseline denominator once.
+/// Each cell is wrapped in `catch_unwind` and the watchdog budget of
+/// [`Experiment::max_cycles`], so one sick cell cannot take down the run;
+/// the journal/retry/deadline/triage layers of [`MatrixConfig`] sit on
+/// top. With a default config it is the plain fault-isolated engine.
 ///
-/// Successful cells are bit-identical to calling
-/// [`run_experiment`](crate::experiments::run_experiment) per experiment,
-/// whatever other cells do.
+/// Never returns an error: failed cells are contained and reported in
+/// [`MatrixRun::report`]; [`MatrixRun::into_figures`] turns a clean run
+/// into plain tables. Successful cells are bit-identical to calling
+/// [`run_workload`](crate::experiments::run_workload) per cell, whatever
+/// other cells do.
 ///
 /// A model whose simulated result diverges from the baseline's is a
 /// compiler bug, not an input error; it is reported as a typed
 /// [`PipelineError::Diverged`] cell failure under either policy (never a
 /// panic), so a KeepGoing chaos run keeps every healthy cell.
-pub fn run_matrix_workloads_policy(
-    exps: &[Experiment],
-    workloads: &[Workload],
-    pipe: &Pipeline,
-    threads: usize,
-    policy: FailurePolicy,
-) -> MatrixRun {
-    run_matrix_configured(
-        exps,
-        workloads,
-        pipe,
-        &MatrixConfig {
-            threads,
-            policy,
-            ..MatrixConfig::default()
-        },
-    )
-}
-
-/// The durable engine entry point: [`run_matrix_workloads_policy`] plus
-/// the journal/retry/deadline/triage layers of [`MatrixConfig`]. With a
-/// default config it is exactly the plain engine.
-pub fn run_matrix_configured(
+pub fn run_matrix(
     exps: &[Experiment],
     workloads: &[Workload],
     pipe: &Pipeline,
     cfg: &MatrixConfig<'_>,
 ) -> MatrixRun {
     let started = Instant::now();
-    let policy = cfg.policy;
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -1011,7 +1005,8 @@ pub fn run_matrix_configured(
 
     // Baselines first so the slowest sims start early; then experiment-
     // major model cells, which keeps the duplicate compile keys of
-    // machine-sharing figures (8 and 11) far apart in the queue.
+    // machine-sharing figures (8 and 11) far apart in the queue. This is
+    // also the result-slot order of `slot_of`.
     let mut cells: Vec<Cell> = Vec::with_capacity(workloads.len() * (1 + 3 * exps.len()));
     if !exps.is_empty() {
         for w in 0..workloads.len() {
@@ -1036,102 +1031,38 @@ pub fn run_matrix_configured(
     });
 
     let cache = CompileCache::new();
-    let log = FailureLog::new(policy);
+    let log = FailureLog::new(cfg.policy);
     let next = AtomicUsize::new(0);
     let interrupted = AtomicBool::new(false);
     let journal_hits = AtomicU64::new(0);
     let journal_appends = AtomicU64::new(0);
-    let prefilled_baseline = AtomicU64::new(0);
-    let prefilled_model = AtomicU64::new(0);
     let retries = AtomicU64::new(0);
-    let baseline: Vec<OnceLock<SimStats>> = (0..workloads.len()).map(|_| OnceLock::new()).collect();
-    let model_stats: Vec<OnceLock<SimStats>> = (0..exps.len() * workloads.len() * 3)
+    let results: Vec<OnceLock<SimStats>> = (0..workloads.len() * (1 + 3 * exps.len()))
         .map(|_| OnceLock::new())
         .collect();
+    let slot = |cell: Cell| &results[slot_of(cell, workloads.len())];
     let cell_stats: Mutex<Vec<CellStat>> = Mutex::new(Vec::with_capacity(cells.len()));
 
     // Executes one cell; typed failures come back as Err, panics unwind to
     // the catch_cell wrapper in the worker loop.
-    let exec_cell = |cell: Cell| -> Result<(), (FailureStage, FailurePayload)> {
-        match cell {
-            Cell::Baseline { w } => {
-                let wl = &workloads[w];
-                let key = CompileKey {
-                    workload: w,
-                    model: Model::Superblock,
-                    issue: 1,
-                    branches: 1,
-                };
-                let unit = cache
-                    .get_or_compile(
-                        key,
-                        wl,
-                        Model::Superblock,
-                        &MachineConfig::one_issue(),
-                        pipe,
-                    )
-                    .map_err(|f| (f.stage, f.payload))?;
-                LAST_MODULE.with(|m| *m.borrow_mut() = Some(Arc::clone(&unit.module)));
-                if pipe.fault_injection {
-                    crate::faults::maybe_injected_sim_panic(&unit.module);
-                }
-                // All experiments share one denominator config (1-issue,
-                // perfect memory, default predictor), so any experiment's
-                // baseline_sim() works; use the first for exactness.
-                let mut sim_cfg = exps.first().map_or_else(
-                    || Experiment::fig8().baseline_sim(),
-                    Experiment::baseline_sim,
-                );
-                if let Some(d) = cfg.deadline {
-                    sim_cfg.deadline = Some(Instant::now() + d);
-                }
-                let stats = simulate_decoded(
-                    &unit.module,
-                    &unit.decoded,
-                    "main",
-                    &entry_args(&wl.args),
-                    MachineConfig::one_issue(),
-                    sim_cfg,
-                )
-                .map_err(|e| (FailureStage::Simulate, FailurePayload::Error(e.into())))?;
-                fill_slot(&baseline[w], stats, wl.name, None)?;
-                Ok(())
-            }
-            Cell::Model { e, w, m } => {
-                let wl = &workloads[w];
-                let exp = &exps[e];
-                let model = Model::ALL[m];
-                let key = CompileKey {
-                    workload: w,
-                    model,
-                    issue: exp.issue,
-                    branches: exp.branches,
-                };
-                let unit = cache
-                    .get_or_compile(key, wl, model, &exp.machine(), pipe)
-                    .map_err(|f| (f.stage, f.payload))?;
-                LAST_MODULE.with(|m| *m.borrow_mut() = Some(Arc::clone(&unit.module)));
-                if pipe.fault_injection {
-                    crate::faults::maybe_injected_sim_panic(&unit.module);
-                }
-                let mut sim_cfg = exp.sim();
-                if let Some(d) = cfg.deadline {
-                    sim_cfg.deadline = Some(Instant::now() + d);
-                }
-                let stats = simulate_decoded(
-                    &unit.module,
-                    &unit.decoded,
-                    "main",
-                    &entry_args(&wl.args),
-                    exp.machine(),
-                    sim_cfg,
-                )
-                .map_err(|e| (FailureStage::Simulate, FailurePayload::Error(e.into())))?;
-                let idx = (e * workloads.len() + w) * 3 + m;
-                fill_slot(&model_stats[idx], stats, wl.name, Some(model))?;
-                Ok(())
-            }
+    let exec_cell = |cell: Cell| -> Result<(), CellError> {
+        let wl = &workloads[cell.workload()];
+        let p = params_of(cell, exps);
+        let unit = cache.get_or_compile(key_of(cell, exps), wl, pipe)?;
+        LAST_MODULE.with(|m| *m.borrow_mut() = Some(Arc::clone(&unit.module)));
+        if pipe.fault_injection {
+            crate::faults::maybe_injected_sim_panic(&unit.module);
         }
+        let stats = simulate_within(
+            &unit.module,
+            &unit.decoded,
+            &wl.args,
+            p.machine(),
+            p.sim(),
+            cfg.deadline,
+        )
+        .map_err(|e| (FailureStage::Simulate, FailurePayload::Error(e)))?;
+        fill_slot(slot(cell), stats, wl.name, p.model)
     };
 
     // Writes a repro bundle for a permanently failed cell; bundle errors
@@ -1172,174 +1103,123 @@ pub fn run_matrix_configured(
         }
     };
 
+    // Appends a completed cell to the run journal. Durability degrades,
+    // the run continues: append errors and conflicts are reported only.
+    let record = |journal: &RunJournal, entry: JournalEntry<'_>| match journal.record(&entry) {
+        Ok(RecordOutcome::Appended) => {
+            journal_appends.fetch_add(1, Ordering::Relaxed);
+        }
+        // Identical re-record (e.g. two resumed runs sharing a journal):
+        // nothing to count.
+        Ok(RecordOutcome::Duplicate) => {}
+        // The key now serves nobody; the conflict is counted on the
+        // journal and reported by drivers.
+        Ok(RecordOutcome::Conflict) => eprintln!(
+            "journal: fingerprint conflict on {} ({} / {}); key quarantined",
+            entry.fingerprint, entry.workload, entry.experiment
+        ),
+        Err(e) => eprintln!("journal: append failed: {e}"),
+    };
+
     std::thread::scope(|scope| {
         for _ in 0..threads.min(cells.len()).max(1) {
-            scope.spawn(|| {
-                loop {
-                    if log.aborted() {
-                        return;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(i).copied() else {
-                        return;
-                    };
-                    if cfg.cell_limit.is_some_and(|limit| i >= limit) {
-                        interrupted.store(true, Ordering::Release);
-                        return;
-                    }
-                    let (workload, experiment, model) = match cell {
-                        Cell::Baseline { w } => (workloads[w].name, "baseline", None),
-                        Cell::Model { e, w, m } => {
-                            (workloads[w].name, exps[e].title, Some(Model::ALL[m]))
+            scope.spawn(|| loop {
+                if log.aborted() {
+                    return;
+                }
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(cell) = cells.get(i).copied() else {
+                    return;
+                };
+                if cfg.cell_limit.is_some_and(|limit| i >= limit) {
+                    interrupted.store(true, Ordering::Release);
+                    return;
+                }
+                let workload = workloads[cell.workload()].name;
+                let CellParams {
+                    experiment, model, ..
+                } = params_of(cell, exps);
+                let journal = cfg.journal.zip(fps.as_deref().map(|fps| fps[i].as_str()));
+                // Resume: a journaled cell's stats are copied back
+                // bit-identically; nothing about it re-runs.
+                if let Some(stats) = journal.and_then(|(j, fp)| j.lookup(fp)) {
+                    match fill_slot(slot(cell), stats, workload, model) {
+                        Ok(()) => {
+                            journal_hits.fetch_add(1, Ordering::Relaxed);
                         }
-                    };
-                    // Resume: a journaled cell's stats are copied back
-                    // bit-identically; nothing about it re-runs.
-                    if let (Some(journal), Some(fps)) = (cfg.journal, fps.as_deref()) {
-                        if let Some(stats) = journal.lookup(&fps[i]) {
-                            let filled = match cell {
-                                Cell::Baseline { w } => {
-                                    let r = fill_slot(&baseline[w], stats, workload, None);
-                                    if r.is_ok() {
-                                        prefilled_baseline.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    r
-                                }
-                                Cell::Model { e, w, m } => {
-                                    let idx = (e * workloads.len() + w) * 3 + m;
-                                    let r = fill_slot(&model_stats[idx], stats, workload, model);
-                                    if r.is_ok() {
-                                        prefilled_model.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    r
-                                }
-                            };
-                            match filled {
-                                Ok(()) => {
-                                    journal_hits.fetch_add(1, Ordering::Relaxed);
-                                }
-                                // A prefill clashing with a distinct held
-                                // result means the journal (or the cell
-                                // schedule) is damaged: report it as a
-                                // failed cell, don't abort the worker.
-                                Err((stage, payload)) => log.record(CellFailure {
+                        // A prefill clashing with a distinct held result
+                        // means the journal (or the cell schedule) is
+                        // damaged: report it as a failed cell, don't
+                        // abort the worker.
+                        Err((stage, payload)) => log.record(CellFailure {
+                            workload,
+                            experiment,
+                            model,
+                            stage,
+                            payload,
+                            wall: Duration::ZERO,
+                            attempts: 1,
+                        }),
+                    }
+                    continue;
+                }
+                let identity = model.map_or_else(
+                    || format!("{workload} / {experiment}"),
+                    |m| format!("{workload} / {experiment} / {m}"),
+                );
+                let t = Instant::now();
+                let (outcome, attempts) = with_retries(
+                    identity,
+                    cfg.retry,
+                    || {
+                        LAST_MODULE.with(|m| *m.borrow_mut() = None);
+                        // A panic that escaped the compile cache's own
+                        // containment happened after compilation — in
+                        // the simulator or its sink.
+                        catch_cell(|| exec_cell(cell)).unwrap_or_else(|msg| {
+                            Err((FailureStage::Simulate, FailurePayload::Panic(msg)))
+                        })
+                    },
+                    // A memoized failure must be forgotten, or the retry
+                    // would just replay the memo.
+                    || {
+                        cache.forget_failed(key_of(cell, exps));
+                        retries.fetch_add(1, Ordering::Relaxed);
+                    },
+                );
+                let wall = t.elapsed();
+                match outcome {
+                    Ok(()) => {
+                        lock_tolerant(&cell_stats).push(CellStat {
+                            workload,
+                            experiment,
+                            model,
+                            wall,
+                        });
+                        if let (Some((j, fingerprint)), Some(stats)) = (journal, slot(cell).get()) {
+                            record(
+                                j,
+                                JournalEntry {
+                                    fingerprint,
                                     workload,
                                     experiment,
                                     model,
-                                    stage,
-                                    payload,
-                                    wall: Duration::ZERO,
-                                    attempts: 1,
-                                }),
-                            }
-                            continue;
+                                    stats,
+                                },
+                            );
                         }
                     }
-                    CELL_IDENTITY.with(|c| {
-                        *c.borrow_mut() = Some(match model {
-                            Some(m) => format!("{workload} / {experiment} / {m}"),
-                            None => format!("{workload} / baseline"),
+                    Err((stage, payload)) => {
+                        emit_triage(cell, stage, &payload, attempts);
+                        log.record(CellFailure {
+                            workload,
+                            experiment,
+                            model,
+                            stage,
+                            payload,
+                            wall,
+                            attempts,
                         });
-                    });
-                    let t = Instant::now();
-                    let mut attempts = 0u32;
-                    let caught = loop {
-                        attempts += 1;
-                        LAST_MODULE.with(|m| *m.borrow_mut() = None);
-                        let caught = catch_cell(|| exec_cell(cell));
-                        let transient = match &caught {
-                            Ok(Ok(())) => break caught,
-                            Ok(Err((_, payload))) => retryable(payload),
-                            // Contained panics are presumed transient-capable.
-                            Err(_) => true,
-                        };
-                        if !transient || attempts >= cfg.retry.max_attempts.max(1) {
-                            break caught;
-                        }
-                        // A memoized failure must be forgotten, or the
-                        // retry would just replay the memo.
-                        cache.forget_failed(key_of(cell, exps));
-                        retries.fetch_add(1, Ordering::Relaxed);
-                        if !cfg.retry.backoff.is_zero() {
-                            std::thread::sleep(cfg.retry.backoff);
-                        }
-                    };
-                    let wall = t.elapsed();
-                    CELL_IDENTITY.with(|c| *c.borrow_mut() = None);
-                    match caught {
-                        Ok(Ok(())) => {
-                            lock_tolerant(&cell_stats).push(CellStat {
-                                workload,
-                                experiment,
-                                model,
-                                wall,
-                            });
-                            if let (Some(journal), Some(fps)) = (cfg.journal, fps.as_deref()) {
-                                let stats = match cell {
-                                    Cell::Baseline { w } => baseline[w].get(),
-                                    Cell::Model { e, w, m } => {
-                                        model_stats[(e * workloads.len() + w) * 3 + m].get()
-                                    }
-                                };
-                                if let Some(stats) = stats {
-                                    let appended = journal.record(&JournalEntry {
-                                        fingerprint: &fps[i],
-                                        workload,
-                                        experiment,
-                                        model,
-                                        stats,
-                                    });
-                                    match appended {
-                                        Ok(RecordOutcome::Appended) => {
-                                            journal_appends.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        // Identical re-record (e.g. two
-                                        // resumed runs sharing a journal):
-                                        // nothing to count.
-                                        Ok(RecordOutcome::Duplicate) => {}
-                                        // The key now serves nobody; the
-                                        // conflict is counted on the
-                                        // journal and reported by drivers.
-                                        Ok(RecordOutcome::Conflict) => eprintln!(
-                                            "journal: fingerprint conflict on {} \
-                                             ({workload} / {experiment}); key quarantined",
-                                            &fps[i]
-                                        ),
-                                        // Durability degrades, the run
-                                        // continues (e.g. disk full).
-                                        Err(e) => eprintln!("journal: append failed: {e}"),
-                                    }
-                                }
-                            }
-                        }
-                        Ok(Err((stage, payload))) => {
-                            emit_triage(cell, stage, &payload, attempts);
-                            log.record(CellFailure {
-                                workload,
-                                experiment,
-                                model,
-                                stage,
-                                payload,
-                                wall,
-                                attempts,
-                            });
-                        }
-                        // A panic that escaped the compile cache's own
-                        // containment happened after compilation — in the
-                        // simulator or its sink.
-                        Err(panic_msg) => {
-                            let payload = FailurePayload::Panic(panic_msg);
-                            emit_triage(cell, FailureStage::Simulate, &payload, attempts);
-                            log.record(CellFailure {
-                                workload,
-                                experiment,
-                                model,
-                                stage: FailureStage::Simulate,
-                                payload,
-                                wall,
-                                attempts,
-                            });
-                        }
                     }
                 }
             });
@@ -1355,9 +1235,9 @@ pub fn run_matrix_configured(
     for (e, exp) in exps.iter().enumerate() {
         let mut row: Vec<CellOutcome> = Vec::with_capacity(workloads.len());
         for (w, wl) in workloads.iter().enumerate() {
-            let base = baseline[w].get();
+            let base = slot(Cell::Baseline { w }).get();
             let slots: [Option<&SimStats>; 3] =
-                std::array::from_fn(|m| model_stats[(e * workloads.len() + w) * 3 + m].get());
+                std::array::from_fn(|m| slot(Cell::Model { e, w, m }).get());
             let outcome = match (base, slots[0], slots[1], slots[2]) {
                 (Some(base), Some(m0), Some(m1), Some(m2)) => {
                     let models: [SimStats; 3] = [m0.clone(), m1.clone(), m2.clone()];
@@ -1365,7 +1245,7 @@ pub fn run_matrix_configured(
                         .iter()
                         .enumerate()
                         .find(|(_, s)| s.ret != base.ret)
-                        .map(|(m, s)| (Model::ALL[m], s.ret))
+                        .map(|(m, s)| (m, s.ret))
                     {
                         None => CellOutcome::Ok(BenchResult {
                             name: wl.name,
@@ -1374,17 +1254,17 @@ pub fn run_matrix_configured(
                         }),
                         Some((m, got)) => {
                             // A typed failure under either policy:
-                            // FailFast surfaces it as `Err(Diverged)`
-                            // through the compatibility wrapper, KeepGoing
-                            // contains it to this cell.
+                            // `into_figures` surfaces it as
+                            // `Err(Diverged)`, KeepGoing drivers contain
+                            // it to this cell.
                             let failure = CellFailure {
                                 workload: wl.name,
                                 experiment: exp.title,
-                                model: Some(m),
+                                model: Some(Model::ALL[m]),
                                 stage: FailureStage::Simulate,
                                 payload: FailurePayload::Error(PipelineError::Diverged {
                                     workload: wl.name.to_string(),
-                                    model: m,
+                                    model: Model::ALL[m],
                                     got,
                                     want: base.ret,
                                 }),
@@ -1394,8 +1274,7 @@ pub fn run_matrix_configured(
                             // Divergence is only detectable here, after
                             // both sides ran; its bundle gets the module
                             // straight from the compile cache.
-                            let midx = Model::ALL.iter().position(|&x| x == m).unwrap_or(0);
-                            let cell = Cell::Model { e, w, m: midx };
+                            let cell = Cell::Model { e, w, m };
                             if let Some(module) = cache.module_of(key_of(cell, exps)) {
                                 LAST_MODULE.with(|slot| *slot.borrow_mut() = Some(module));
                             }
@@ -1424,11 +1303,11 @@ pub fn run_matrix_configured(
     }
 
     // Journal-prefilled slots hold results too, but nothing was simulated
-    // for them — they count as journal hits, not sims.
-    let baseline_sims = baseline.iter().filter(|b| b.get().is_some()).count() as u64
-        - prefilled_baseline.load(Ordering::Relaxed);
-    let model_sims = model_stats.iter().filter(|m| m.get().is_some()).count() as u64
-        - prefilled_model.load(Ordering::Relaxed);
+    // for them: sims are exactly the cells that ran and completed.
+    let cells = cell_stats
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    let baseline_sims = cells.iter().filter(|c| c.model.is_none()).count() as u64;
     let stats = EngineStats {
         threads,
         wall: started.elapsed(),
@@ -1436,15 +1315,13 @@ pub fn run_matrix_configured(
         compile_misses: cache.misses.load(Ordering::Relaxed),
         baseline_sims,
         baseline_reuses: (exps.len().saturating_sub(1) as u64) * baseline_sims,
-        model_sims,
+        model_sims: cells.len() as u64 - baseline_sims,
         front_computes: cache.front_computes.load(Ordering::Relaxed),
         front_reuses: cache.front_reuses.load(Ordering::Relaxed),
         journal_hits: journal_hits.load(Ordering::Relaxed),
         journal_appends: journal_appends.load(Ordering::Relaxed),
         retries: retries.load(Ordering::Relaxed),
-        cells: cell_stats
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner),
+        cells,
     };
     MatrixRun {
         outcomes,
@@ -1518,6 +1395,19 @@ impl CellRequest {
         }
         Ok(())
     }
+
+    /// The request's cell parameters, filed under the service namespace
+    /// of its degradation policy.
+    fn params(&self, degrade: bool) -> CellParams {
+        CellParams {
+            experiment: service_namespace(degrade),
+            model: Some(self.model),
+            issue: self.issue,
+            branches: self.branches,
+            memory: self.memory,
+            max_cycles: self.max_cycles,
+        }
+    }
 }
 
 /// How patient the request path is: bounded retries of transient
@@ -1576,33 +1466,28 @@ impl fmt::Display for RequestFailure {
     }
 }
 
-/// The content address of a request: the same deliberately conservative
-/// canonical-string FNV scheme as the matrix [`fingerprint`] (see the
-/// [`crate::journal`] docs), with the experiment slot naming the service
-/// namespace *and* the degradation policy — a degraded and a strict
-/// compile of the same source may legitimately produce different stats,
-/// so they must never share a key.
-pub fn request_fingerprint(req: &CellRequest, pipe: &Pipeline, degrade: bool) -> String {
-    let namespace = if degrade {
+/// The experiment slot of a service cell, in its key and in the store: it
+/// names the service namespace *and* the degradation policy — a degraded
+/// and a strict compile of the same source may legitimately produce
+/// different stats, so they must never share a key.
+pub fn service_namespace(degrade: bool) -> &'static str {
+    if degrade {
         "service-degrade"
     } else {
         "service-strict"
-    };
-    let canonical = format!(
-        "v{}|pipe{:016x}|{}|src{:016x}|args{:?}|{}|{}|issue{}|br{}|{:?}|cycles{}",
-        env!("CARGO_PKG_VERSION"),
-        fnv64(format!("{pipe:?}").as_bytes()),
-        req.name,
-        fnv64(req.source.as_bytes()),
-        req.args,
-        namespace,
-        model_slug(Some(req.model)),
-        req.issue,
-        req.branches,
-        req.memory,
-        req.max_cycles,
-    );
-    format!("{:016x}", fnv64(canonical.as_bytes()))
+    }
+}
+
+/// The content address of a request: the same key as a matrix cell's
+/// journal fingerprint, with [`service_namespace`] as the experiment.
+pub fn request_fingerprint(req: &CellRequest, pipe: &Pipeline, degrade: bool) -> String {
+    content_key(
+        pipe,
+        &req.name,
+        &req.source,
+        &req.args,
+        &req.params(degrade),
+    )
 }
 
 /// Runs one [`CellRequest`] end to end with the engine's full containment
@@ -1629,12 +1514,13 @@ pub fn run_request(
             wall: started.elapsed(),
         });
     }
-    let machine = MachineConfig::new(req.issue, req.branches);
+    let params = req.params(cfg.degrade);
+    let (machine, sim) = (params.machine(), params.sim());
 
     // One attempt: compile (front + finish) and simulate, each phase
     // under its own panic containment so a captured panic is attributed
     // to the right stage.
-    let attempt = || -> Result<(SimStats, Degradation), (FailureStage, FailurePayload)> {
+    let attempt = || -> Result<(SimStats, Degradation), CellError> {
         let compiled = catch_cell(|| -> Result<(Module, Degradation), PipelineError> {
             let front = pipe.front(&req.source, &req.args)?;
             if cfg.degrade {
@@ -1644,77 +1530,47 @@ pub fn run_request(
                 Ok((module, Degradation::default()))
             }
         });
-        let (module, degradation) = match compiled {
-            Ok(Ok(out)) => out,
-            Ok(Err(e)) => return Err((stage_of(&e), FailurePayload::Error(e))),
-            Err(panic_msg) => {
-                return Err((FailureStage::Compile, FailurePayload::Panic(panic_msg)))
-            }
-        };
-        let simmed = catch_cell(|| -> Result<SimStats, PipelineError> {
+        let (module, degradation) = contained(compiled, FailureStage::Compile)?;
+        let simmed = catch_cell(|| {
             let decoded = Arc::new(DecodedModule::decode(&module));
-            let mut sim_cfg = SimConfig {
-                memory: req.memory,
-                max_cycles: req.max_cycles,
-                ..SimConfig::default()
-            };
-            if let Some(d) = cfg.deadline {
-                sim_cfg.deadline = Some(Instant::now() + d);
-            }
-            Ok(simulate_decoded(
-                &module,
-                &decoded,
-                "main",
-                &entry_args(&req.args),
-                machine,
-                sim_cfg,
-            )?)
+            simulate_within(&module, &decoded, &req.args, machine, sim, cfg.deadline)
         });
-        match simmed {
-            Ok(Ok(stats)) => Ok((stats, degradation)),
-            Ok(Err(e)) => Err((stage_of(&e), FailurePayload::Error(e))),
-            Err(panic_msg) => Err((FailureStage::Simulate, FailurePayload::Panic(panic_msg))),
-        }
+        Ok((contained(simmed, FailureStage::Simulate)?, degradation))
     };
 
-    CELL_IDENTITY.with(|c| {
-        *c.borrow_mut() = Some(format!("{} / service / {}", req.name, req.model));
-    });
-    let mut attempts = 0u32;
-    let result = loop {
-        attempts += 1;
-        match attempt() {
-            Ok(out) => break Ok(out),
-            Err((stage, payload)) => {
-                if retryable(&payload) && attempts < cfg.retry.max_attempts.max(1) {
-                    if !cfg.retry.backoff.is_zero() {
-                        std::thread::sleep(cfg.retry.backoff);
-                    }
-                    continue;
-                }
-                break Err(RequestFailure {
-                    stage,
-                    payload,
-                    attempts,
-                    wall: started.elapsed(),
-                });
-            }
-        }
-    };
-    CELL_IDENTITY.with(|c| *c.borrow_mut() = None);
-    result
+    let identity = format!("{} / service / {}", req.name, req.model);
+    let (outcome, attempts) = with_retries(identity, cfg.retry, attempt, || {});
+    outcome.map_err(|(stage, payload)| RequestFailure {
+        stage,
+        payload,
+        attempts,
+        wall: started.elapsed(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn run_plain(exps: &[Experiment], workloads: &[Workload], policy: FailurePolicy) -> MatrixRun {
+        run_matrix(
+            exps,
+            workloads,
+            &Pipeline::default(),
+            &MatrixConfig {
+                threads: 2,
+                policy,
+                ..MatrixConfig::default()
+            },
+        )
+    }
+
     #[test]
     fn empty_matrix_is_empty() {
-        let out =
-            run_matrix_workloads(&[], &[], &Pipeline::default(), 2).expect("empty matrix runs");
-        assert!(out.figures.is_empty());
-        assert_eq!(out.stats.compile_hits + out.stats.compile_misses, 0);
+        let run = run_plain(&[], &[], FailurePolicy::FailFast);
+        assert_eq!(run.stats.compile_hits + run.stats.compile_misses, 0);
+        let figures = run.into_figures().expect("empty matrix runs");
+        assert!(figures.is_empty());
     }
 
     #[test]
@@ -1725,8 +1581,11 @@ mod tests {
             source: "int main( {".to_string(),
             args: Vec::new(),
         };
-        let err = run_matrix_workloads(&[Experiment::fig8()], &[bad], &Pipeline::default(), 2);
-        assert!(err.is_err(), "syntax error must surface as PipelineError");
+        let run = run_plain(&[Experiment::fig8()], &[bad], FailurePolicy::FailFast);
+        assert!(
+            run.into_figures().is_err(),
+            "syntax error must surface as PipelineError"
+        );
     }
 
     #[test]
@@ -1745,11 +1604,9 @@ mod tests {
                 .to_string(),
             args: Vec::new(),
         };
-        let run = run_matrix_workloads_policy(
+        let run = run_plain(
             &[Experiment::fig8()],
             &[bad, good],
-            &Pipeline::default(),
-            2,
             FailurePolicy::KeepGoing,
         );
         assert!(!run.report.is_empty());
@@ -1772,7 +1629,7 @@ mod tests {
                 .to_string(),
             args: Vec::new(),
         };
-        let run = run_matrix_configured(
+        let run = run_matrix(
             &[Experiment::fig8()],
             &[good],
             &Pipeline::default(),
@@ -1791,5 +1648,43 @@ mod tests {
             run.stats.cells.len() <= 2,
             "no cell past the limit may have run"
         );
+    }
+
+    /// Pins the content address of one matrix cell and one service
+    /// request to the hex keys existing run journals and daemon stores
+    /// were written under: a change here orphans every stored result, so
+    /// it must be deliberate (and visible in review).
+    #[test]
+    fn content_keys_are_pinned() {
+        let source = "int main(int n) { return n + 1; }";
+        let wl = Workload {
+            name: "pin",
+            description: "fingerprint pin",
+            source: source.to_string(),
+            args: vec![41],
+        };
+        let exps = [Experiment::fig8(), Experiment::fig11()];
+        let pipe = Pipeline::default();
+        let wls = std::slice::from_ref(&wl);
+        assert_eq!(
+            fingerprint(Cell::Baseline { w: 0 }, &exps, wls, &pipe),
+            "afbb001ff8dae874"
+        );
+        assert_eq!(
+            fingerprint(Cell::Model { e: 1, w: 0, m: 2 }, &exps, wls, &pipe),
+            "36c2ed384df6cebf"
+        );
+        let req = CellRequest {
+            name: "pin".to_string(),
+            source: source.to_string(),
+            args: vec![41],
+            model: Model::CondMove,
+            issue: 4,
+            branches: 2,
+            memory: MemoryModel::Perfect,
+            max_cycles: 1_000_000,
+        };
+        assert_eq!(request_fingerprint(&req, &pipe, true), "b6c0db7a1bdc74bb");
+        assert_eq!(request_fingerprint(&req, &pipe, false), "b62a84fa97d98ab8");
     }
 }

@@ -1,5 +1,5 @@
-//! Plain-text table formatting for experiment output, and the shared
-//! end-of-run summary for keep-going matrix drivers.
+//! Plain-text table formatting for experiment output, and the
+//! end-of-run summary of a matrix run.
 
 use crate::matrix::MatrixRun;
 
@@ -55,9 +55,8 @@ pub fn format_table(title: &str, headers: &[&str], rows: &[Row]) -> String {
     out
 }
 
-/// The end-of-run verdict every keep-going driver prints: one text block
-/// for stderr and the process's exit decision, computed in exactly one
-/// place so `figures` and `hyperpredc report` cannot drift apart.
+/// The end-of-run verdict a matrix driver prints: one text block for
+/// stderr and the process's exit decision.
 #[derive(Debug, Clone)]
 pub struct RunSummary {
     /// True iff the process should exit nonzero: some cell permanently
@@ -68,7 +67,7 @@ pub struct RunSummary {
     pub text: String,
 }
 
-/// Summarizes a fault-tolerant engine run: engine counters, the failure
+/// Summarizes an engine run: engine counters, the failure
 /// report (iff any cell failed), and what that means for the tables and
 /// the exit code.
 pub fn summarize_run(run: &MatrixRun) -> RunSummary {

@@ -1,0 +1,44 @@
+//! `hyperpredc`'s shared option parser, driven through the binary: a
+//! zero issue width or branch-slot count is a usage error (exit 2), never
+//! the `MachineConfig::new` assert (a panic, exit 101).
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn hyperpredc(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_hyperpredc"))
+        .args(args)
+        .output()
+        .expect("spawn hyperpredc")
+}
+
+#[test]
+fn zero_machine_widths_are_usage_errors() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-widths");
+    std::fs::create_dir_all(&dir).expect("create test dir");
+    let file = dir.join("t.c");
+    std::fs::write(&file, "int main() { return 3; }").expect("write source");
+    let file = file.to_str().expect("utf-8 path");
+
+    for (command, target) in [("sim", file), ("lint", "wc"), ("analyze", "wc")] {
+        for flag in ["--issue", "--branches"] {
+            let out = hyperpredc(&[command, target, flag, "0"]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "hyperpredc {command} {target} {flag} 0\nstderr:\n{stderr}"
+            );
+            assert!(stderr.contains("usage:"), "{command} {flag} 0: {stderr}");
+        }
+    }
+
+    // The same flags with legal widths still parse and run.
+    let out = hyperpredc(&["sim", file, "--issue", "4", "--branches", "2"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}

@@ -11,9 +11,8 @@ use hyperpred::faults::{
 use hyperpred::sim::SimError;
 use hyperpred::Model;
 use hyperpred::{
-    run_matrix_configured, run_matrix_workloads_policy, run_workload, CellOutcome, Experiment,
-    FailurePayload, FailurePolicy, FailureStage, MatrixConfig, Pipeline, PipelineError,
-    RetryPolicy,
+    run_matrix, run_workload, CellOutcome, Experiment, FailurePayload, FailurePolicy, FailureStage,
+    MatrixConfig, Pipeline, PipelineError, RetryPolicy,
 };
 use hyperpred_workloads::Workload;
 use std::time::Duration;
@@ -78,7 +77,16 @@ fn keep_going_contains_injected_faults() {
     wls.push(panic_fixture());
     wls.push(cycle_hog_fixture(100_000));
 
-    let run = run_matrix_workloads_policy(&[exp], &wls, &pipe, 3, FailurePolicy::KeepGoing);
+    let run = run_matrix(
+        &[exp],
+        &wls,
+        &pipe,
+        &MatrixConfig {
+            threads: 3,
+            policy: FailurePolicy::KeepGoing,
+            ..MatrixConfig::default()
+        },
+    );
 
     // The report names exactly the injected workloads — never a healthy one.
     assert!(!run.report.is_empty(), "injected faults must be reported");
@@ -156,7 +164,16 @@ fn keep_going_reports_divergence_as_cell_failure_not_panic() {
     let n_healthy = wls.len();
     wls.push(diverge_fixture());
 
-    let run = run_matrix_workloads_policy(&[exp], &wls, &pipe, 2, FailurePolicy::KeepGoing);
+    let run = run_matrix(
+        &[exp],
+        &wls,
+        &pipe,
+        &MatrixConfig {
+            threads: 2,
+            policy: FailurePolicy::KeepGoing,
+            ..MatrixConfig::default()
+        },
+    );
 
     // Exactly the injected workload fails, with the typed payload naming
     // the diverging model and both results.
@@ -219,7 +236,7 @@ fn retry_policy_absorbs_transient_failures() {
     // Phase 1: two injected panics, three attempts allowed — the run must
     // come out clean, with the retries visible in the engine stats.
     arm_flaky(2);
-    let run = run_matrix_configured(
+    let run = run_matrix(
         &[exp],
         &wls,
         &pipe,
@@ -251,7 +268,7 @@ fn retry_policy_absorbs_transient_failures() {
     // Phase 2: more injected panics than the retry budget — the failure
     // becomes permanent and records how many attempts were spent.
     arm_flaky(100);
-    let run = run_matrix_configured(
+    let run = run_matrix(
         &[experiment()],
         &wls,
         &pipe,
@@ -294,7 +311,7 @@ fn wall_clock_deadline_stops_runaway_cells() {
     let exp = Experiment::fig8();
     let wls = [cycle_hog_fixture(8_000_000)];
 
-    let run = run_matrix_configured(
+    let run = run_matrix(
         &[exp],
         &wls,
         &pipe,
@@ -332,7 +349,16 @@ fn fail_fast_aborts_after_first_failure() {
     let mut wls = vec![panic_fixture()];
     wls.extend(healthy());
 
-    let run = run_matrix_workloads_policy(&[exp], &wls, &pipe, 1, FailurePolicy::FailFast);
+    let run = run_matrix(
+        &[exp],
+        &wls,
+        &pipe,
+        &MatrixConfig {
+            threads: 1,
+            policy: FailurePolicy::FailFast,
+            ..MatrixConfig::default()
+        },
+    );
 
     assert_eq!(run.report.len(), 1, "fail-fast stops at the first failure");
     assert_eq!(run.report.failures[0].workload, "inject-panic");

@@ -5,8 +5,7 @@
 //! reused.
 
 use hyperpred::{
-    run_matrix_configured, run_matrix_workloads_policy, Experiment, FailurePolicy, MatrixConfig,
-    MatrixRun, Pipeline, RunJournal,
+    run_matrix, Experiment, FailurePolicy, MatrixConfig, MatrixRun, Pipeline, RunJournal,
 };
 use hyperpred_workloads::Workload;
 use std::path::PathBuf;
@@ -71,12 +70,21 @@ fn interrupted_run_resumes_bit_identically_across_thread_counts() {
     let pipe = Pipeline::default();
 
     // The ground truth: one uninterrupted serial run, no journal at all.
-    let reference = run_matrix_workloads_policy(&exps, &wls, &pipe, 1, FailurePolicy::KeepGoing);
+    let reference = run_matrix(
+        &exps,
+        &wls,
+        &pipe,
+        &MatrixConfig {
+            threads: 1,
+            policy: FailurePolicy::KeepGoing,
+            ..MatrixConfig::default()
+        },
+    );
 
     // Phase 1: journal at one thread, killed after 5 claimed cells.
     let first = {
         let journal = RunJournal::open(&path).expect("open journal");
-        let run = run_matrix_configured(
+        let run = run_matrix(
             &exps,
             &wls,
             &pipe,
@@ -102,7 +110,7 @@ fn interrupted_run_resumes_bit_identically_across_thread_counts() {
     // copied back, the rest run fresh, and the merged result is
     // bit-identical to the uninterrupted serial reference.
     let journal = RunJournal::open(&path).expect("reopen journal");
-    let resumed = run_matrix_configured(
+    let resumed = run_matrix(
         &exps,
         &wls,
         &pipe,
@@ -126,7 +134,7 @@ fn interrupted_run_resumes_bit_identically_across_thread_counts() {
     let journal = RunJournal::open(&path).expect("reopen journal again");
     let total_cells = wls.len() * (1 + 3 * exps.len());
     assert_eq!(journal.len(), total_cells);
-    let replayed = run_matrix_configured(
+    let replayed = run_matrix(
         &exps,
         &wls,
         &pipe,
@@ -156,7 +164,7 @@ fn changed_workload_invalidates_stale_journal_entries() {
     // Journal a complete run of the original workloads.
     {
         let journal = RunJournal::open(&path).expect("open journal");
-        let run = run_matrix_configured(
+        let run = run_matrix(
             &exps,
             &workloads(),
             &pipe,
@@ -175,11 +183,19 @@ fn changed_workload_invalidates_stale_journal_entries() {
     // exactly like this): every stale entry must be ignored.
     let mut changed = workloads();
     changed[0].source = changed[0].source.replace("i < 300", "i < 301");
-    let reference =
-        run_matrix_workloads_policy(&exps, &changed, &pipe, 1, FailurePolicy::KeepGoing);
+    let reference = run_matrix(
+        &exps,
+        &changed,
+        &pipe,
+        &MatrixConfig {
+            threads: 1,
+            policy: FailurePolicy::KeepGoing,
+            ..MatrixConfig::default()
+        },
+    );
 
     let journal = RunJournal::open(&path).expect("reopen journal");
-    let run = run_matrix_configured(
+    let run = run_matrix(
         &exps,
         &changed,
         &pipe,

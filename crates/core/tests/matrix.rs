@@ -4,11 +4,29 @@
 //!
 //! Workloads here are small MiniC programs (plus the `wc` mini) so the
 //! debug-build suite stays fast; the full suite runs through the engine in
-//! the CI figures smoke job and the `figures`/`hyperpredc report`
-//! binaries.
+//! the CI figures smoke job and the `figures` binary.
 
-use hyperpred::{run_matrix_workloads, run_workload, BenchResult, Experiment, Model, Pipeline};
+use hyperpred::{
+    run_matrix, run_workload, BenchResult, EngineStats, Experiment, MatrixConfig, Model, Pipeline,
+};
 use hyperpred_workloads::{all, by_name, Scale, Workload};
+
+/// Runs the matrix on `threads` workers and returns its tables plus the
+/// engine counters; every cell must succeed.
+fn run_clean(
+    exps: &[Experiment],
+    wls: &[Workload],
+    pipe: &Pipeline,
+    threads: usize,
+) -> (Vec<Vec<BenchResult>>, EngineStats) {
+    let cfg = MatrixConfig {
+        threads,
+        ..MatrixConfig::default()
+    };
+    let run = run_matrix(exps, wls, pipe, &cfg);
+    let stats = run.stats.clone();
+    (run.into_figures().expect("matrix"), stats)
+}
 
 /// A machine-sharing pair: Figures 8 and 11 both schedule for 8-issue,
 /// 1-branch (the compile cache must land hits) but simulate different
@@ -106,9 +124,9 @@ fn matrix_matches_serial_at_any_thread_count() {
         .collect();
 
     for threads in [1, 4] {
-        let out = run_matrix_workloads(&exps, &wls, &pipe, threads).expect("matrix");
-        assert_eq!(out.figures.len(), serial.len());
-        for (fig, ser) in out.figures.iter().zip(&serial) {
+        let (figures, _) = run_clean(&exps, &wls, &pipe, threads);
+        assert_eq!(figures.len(), serial.len());
+        for (fig, ser) in figures.iter().zip(&serial) {
             for (a, b) in fig.iter().zip(ser) {
                 assert_same(a, b, &format!("{threads} thread(s) vs serial"));
             }
@@ -118,8 +136,8 @@ fn matrix_matches_serial_at_any_thread_count() {
     // While we have both figures: Figure 11 evaluates with 64K caches but
     // its speedup denominator must be the perfect-memory baseline,
     // identical to Figure 8's (the fixed run_workload bug).
-    let out = run_matrix_workloads(&exps, &wls, &pipe, 2).expect("matrix");
-    for (a, b) in out.figures[0].iter().zip(&out.figures[1]) {
+    let (figures, _) = run_clean(&exps, &wls, &pipe, 2);
+    for (a, b) in figures[0].iter().zip(&figures[1]) {
         assert_eq!(a.base, b.base, "{}: denominators must match", a.name);
         assert_eq!(
             a.base.dcache_misses, 0,
@@ -144,17 +162,17 @@ fn full_suite_matrix_matches_serial() {
         .map(|w| run_workload(w, &exp, &pipe).expect("serial cell"))
         .collect();
 
-    let out = run_matrix_workloads(&[exp], &wls, &pipe, 4).expect("matrix");
-    assert_eq!(out.figures[0].len(), wls.len());
-    for (a, b) in out.figures[0].iter().zip(&serial) {
+    let (figures, stats) = run_clean(&[exp], &wls, &pipe, 4);
+    assert_eq!(figures[0].len(), wls.len());
+    for (a, b) in figures[0].iter().zip(&serial) {
         assert_same(a, b, "full suite, 4 threads vs serial");
     }
 
     // The model-independent front half is computed once per workload and
     // reused by the other three compiles (baseline + remaining models).
     let w = wls.len() as u64;
-    assert_eq!(out.stats.front_computes, w);
-    assert_eq!(out.stats.front_reuses, 3 * w);
+    assert_eq!(stats.front_computes, w);
+    assert_eq!(stats.front_reuses, 3 * w);
 }
 
 #[test]
@@ -162,29 +180,25 @@ fn caches_deduplicate_compiles_and_baselines() {
     let pipe = Pipeline::default();
     let exps = experiments();
     let wls = workloads();
-    let out = run_matrix_workloads(&exps, &wls, &pipe, 2).expect("matrix");
+    let (_, stats) = run_clean(&exps, &wls, &pipe, 2);
 
     // Figures 8 and 11 share a machine: each (workload, model) compiles
     // once and hits once. The baseline compile is shared too but only
     // requested by its single baseline cell.
     let w = wls.len() as u64;
-    assert_eq!(
-        out.stats.compile_hits,
-        3 * w,
-        "one hit per shared model cell"
-    );
+    assert_eq!(stats.compile_hits, 3 * w, "one hit per shared model cell");
     // Distinct compiles per workload: baseline + fig8's three models
     // (fig11 fully reuses fig8's modules).
-    assert_eq!(out.stats.compile_misses, 4 * w);
+    assert_eq!(stats.compile_misses, 4 * w);
     // The denominator is simulated once per workload, not once per figure.
-    assert_eq!(out.stats.baseline_sims, w);
-    assert_eq!(out.stats.baseline_reuses, (exps.len() as u64 - 1) * w);
+    assert_eq!(stats.baseline_sims, w);
+    assert_eq!(stats.baseline_reuses, (exps.len() as u64 - 1) * w);
     // Every scheduled cell reported a wall time.
     assert_eq!(
-        out.stats.cells.len(),
+        stats.cells.len(),
         wls.len() * (1 + 3 * exps.len()),
         "per-cell timing recorded"
     );
     // Cache counters must show real reuse for the acceptance criterion.
-    assert!(out.stats.compile_hits > 0);
+    assert!(stats.compile_hits > 0);
 }

@@ -8,7 +8,7 @@ use hyperpred::faults::{panic_fixture, sim_panic_fixture};
 use hyperpred::triage;
 use hyperpred::FailureStage;
 use hyperpred::{
-    compile_model, load_bundle, minimize_module, run_matrix_configured, Experiment, FailurePolicy,
+    compile_model, load_bundle, minimize_module, run_matrix, Experiment, FailurePolicy,
     MatrixConfig, Model, Pipeline, TriageConfig,
 };
 use hyperpred_sim::MemoryModel;
@@ -35,7 +35,7 @@ fn injected_run(dir: &PathBuf) {
         ..Pipeline::default()
     };
     let tcfg = TriageConfig::new(dir);
-    let run = run_matrix_configured(
+    let run = run_matrix(
         &[experiment()],
         &[panic_fixture(), sim_panic_fixture()],
         &pipe,

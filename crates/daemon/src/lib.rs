@@ -41,8 +41,8 @@ use hyperpred::service::{
     write_http_response, CellResponse, CellStatus,
 };
 use hyperpred::{
-    request_fingerprint, run_request, triage, CellRequest, Pipeline, RequestConfig, Store,
-    StoreConfig, SyncPolicy,
+    request_fingerprint, run_request, service_namespace, triage, CellRequest, Pipeline,
+    RequestConfig, Store, StoreConfig, SyncPolicy,
 };
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -428,16 +428,6 @@ fn dispatch(inner: &Inner, method: &str, path: &str, body: &str) -> (u16, String
             Err(e) => (400, format!("{{\"error\":\"{}\"}}", e.replace('"', "'"))),
         },
         _ => (404, "{\"error\":\"no such endpoint\"}".to_string()),
-    }
-}
-
-/// The experiment slug recorded in the store for service cells; must
-/// match the namespace [`request_fingerprint`] folds into the key.
-fn service_namespace(degrade: bool) -> &'static str {
-    if degrade {
-        "service-degrade"
-    } else {
-        "service-strict"
     }
 }
 

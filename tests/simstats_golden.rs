@@ -20,7 +20,7 @@
 //! fast). Bless full scale with both variables set.
 
 use hyperpred::workloads::Scale;
-use hyperpred::{run_matrix_with_stats, Experiment, Model, Pipeline};
+use hyperpred::{run_matrix, Experiment, MatrixConfig, Model, Pipeline};
 use hyperpred_sim::SimStats;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -53,9 +53,12 @@ fn matrix_dump(scale: Scale) -> String {
         Experiment::fig11(),
     ];
     let pipe = Pipeline::default();
-    let out = run_matrix_with_stats(&exps, scale, &pipe, 0).expect("matrix runs clean");
+    let workloads = hyperpred::workloads::all(scale);
+    let figures = run_matrix(&exps, &workloads, &pipe, &MatrixConfig::default())
+        .into_figures()
+        .expect("matrix runs clean");
     let mut dump = String::new();
-    for (exp, row) in exps.iter().zip(&out.figures) {
+    for (exp, row) in exps.iter().zip(&figures) {
         for r in row {
             stats_line(&mut dump, exp.title, r.name, "baseline", &r.base);
             for model in Model::ALL {
