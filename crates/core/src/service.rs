@@ -54,6 +54,10 @@ use std::time::{Duration, Instant};
 /// memory.
 pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
+/// Largest message head — request or status line plus headers — either
+/// side will read; past it, the same typed `413` as the body cap.
+pub const MAX_HEAD_BYTES: usize = 64 * 1024;
+
 // ---------------------------------------------------------------------------
 // JSON primitives (backslash-aware key search; values use journal escaping).
 // ---------------------------------------------------------------------------
@@ -267,6 +271,13 @@ pub fn request_to_json(req: &CellRequest) -> String {
     )
 }
 
+/// A required width field; a value past `u32` is an error naming the
+/// field, never a silently truncated width.
+fn get_u32(json: &str, key: &str) -> Result<u32, String> {
+    let n = get_u64(json, key).ok_or_else(|| format!("missing field `{key}`"))?;
+    u32::try_from(n).map_err(|_| format!("field `{key}` out of range: {n}"))
+}
+
 /// Parses one request object; the error names the first missing or
 /// malformed field (it becomes the daemon's `400` body).
 pub fn parse_request(json: &str) -> Result<CellRequest, String> {
@@ -280,8 +291,8 @@ pub fn parse_request(json: &str) -> Result<CellRequest, String> {
         source: get_str(json, "source").ok_or("missing field `source`")?,
         args: get_i64_array(json, "args").unwrap_or_default(),
         model,
-        issue: get_u64(json, "issue").ok_or("missing field `issue`")? as u32,
-        branches: get_u64(json, "branches").ok_or("missing field `branches`")? as u32,
+        issue: get_u32(json, "issue")?,
+        branches: get_u32(json, "branches")?,
         memory,
         max_cycles: get_u64(json, "max_cycles").unwrap_or(DEFAULT_CYCLE_LIMIT),
     })
@@ -524,18 +535,63 @@ pub struct HttpRequest {
     pub body: String,
 }
 
+/// Reads one line of a message head, charging it to `budget` (the head
+/// bytes still allowed). Returns an empty string at EOF.
+fn read_head_line(reader: &mut impl BufRead, budget: &mut usize) -> io::Result<String> {
+    let mut line = String::new();
+    let n = reader.take(*budget as u64).read_line(&mut line)?;
+    if n == *budget && !line.ends_with('\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("message head exceeds cap {MAX_HEAD_BYTES}"),
+        ));
+    }
+    *budget -= n;
+    Ok(line)
+}
+
+/// Reads a message head — the request or status line, then headers up
+/// to the blank line — of at most [`MAX_HEAD_BYTES`]. Returns the first
+/// line and the raw `Content-Length` value, or `None` on EOF before any
+/// byte.
+fn read_head(reader: &mut impl BufRead) -> io::Result<Option<(String, Option<String>)>> {
+    let mut budget = MAX_HEAD_BYTES;
+    let first = read_head_line(reader, &mut budget)?;
+    if first.is_empty() {
+        return Ok(None);
+    }
+    let mut content_length = None;
+    loop {
+        let header = read_head_line(reader, &mut budget)?;
+        if header.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed mid-headers",
+            ));
+        }
+        let header = header.trim_end();
+        if header.is_empty() {
+            return Ok(Some((first, content_length)));
+        }
+        if let Some((k, v)) = header.split_once(':') {
+            if k.trim().eq_ignore_ascii_case("content-length") {
+                content_length = Some(v.trim().to_string());
+            }
+        }
+    }
+}
+
 /// Reads one HTTP request off `stream`. Returns `Ok(None)` on a cleanly
 /// closed idle connection (EOF before any bytes).
 ///
 /// # Errors
-/// Malformed request lines, bodies over [`MAX_BODY_BYTES`], and
-/// transport errors.
+/// Malformed request lines, heads over [`MAX_HEAD_BYTES`], bodies over
+/// [`MAX_BODY_BYTES`], and transport errors.
 pub fn read_http_request(stream: &mut impl Read) -> io::Result<Option<HttpRequest>> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let Some((line, content_length)) = read_head(&mut reader)? else {
         return Ok(None);
-    }
+    };
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or_default().to_string();
     let path = parts.next().unwrap_or_default().to_string();
@@ -545,27 +601,12 @@ pub fn read_http_request(stream: &mut impl Read) -> io::Result<Option<HttpReques
             "malformed request line",
         ));
     }
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-headers",
-            ));
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = header.split_once(':') {
-            if k.trim().eq_ignore_ascii_case("content-length") {
-                content_length = v.trim().parse().map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "bad content-length")
-                })?;
-            }
-        }
-    }
+    let content_length: usize = match content_length {
+        None => 0,
+        Some(v) => v
+            .parse()
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?,
+    };
     if content_length > MAX_BODY_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -579,7 +620,8 @@ pub fn read_http_request(stream: &mut impl Read) -> io::Result<Option<HttpReques
     Ok(Some(HttpRequest { method, path, body }))
 }
 
-/// Writes one HTTP response (status + body) and flushes.
+/// Writes one HTTP response (status + body) in a single `write`, so it
+/// leaves as one segment under `TCP_NODELAY`, and flushes.
 ///
 /// # Errors
 /// Transport errors only.
@@ -593,12 +635,30 @@ pub fn write_http_response(stream: &mut impl Write, status: u16, body: &str) -> 
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     };
-    write!(
-        stream,
+    let msg = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )?;
+    );
+    stream.write_all(msg.as_bytes())?;
+    stream.flush()
+}
+
+/// Writes one HTTP request in a single `write`, like
+/// [`write_http_response`].
+fn write_http_request(
+    stream: &mut impl Write,
+    host: &str,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> io::Result<()> {
+    let msg = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {host}\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(msg.as_bytes())?;
     stream.flush()
 }
 
@@ -660,23 +720,16 @@ fn http_call_on(
     body: &str,
 ) -> io::Result<(u16, String)> {
     stream.set_nodelay(true).ok();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
-         Connection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()?;
+    write_http_request(&mut stream, addr, method, path, body)?;
     let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
+    let Some((status_line, content_length)) = read_head(&mut reader)? else {
         // The server died before sending a byte (kill mid-request):
         // retryable transport loss, not a protocol violation.
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed before the status line",
         ));
-    }
+    };
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
@@ -687,26 +740,7 @@ fn http_call_on(
                 format!("malformed status line: {status_line:?}"),
             )
         })?;
-    let mut content_length: Option<usize> = None;
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-headers",
-            ));
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = header.split_once(':') {
-            if k.trim().eq_ignore_ascii_case("content-length") {
-                content_length = v.trim().parse().ok();
-            }
-        }
-    }
-    let body = match content_length {
+    let body = match content_length.and_then(|v| v.parse::<usize>().ok()) {
         Some(n) if n > MAX_BODY_BYTES => {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -1040,6 +1074,14 @@ mod tests {
         let no_issue = "{\"model\":\"fullpred\",\"source\":\"int main(){return 0;}\"}";
         assert!(parse_request(no_issue).unwrap_err().contains("issue"));
         assert!(parse_batch("{\"cells\":\"nope\"}").is_err());
+        // Widths past u32 are refused by name, not truncated to 8 and 1.
+        let wide = request_to_json(&request()).replace("\"issue\":8", "\"issue\":4294967304");
+        assert_eq!(
+            parse_request(&wide).unwrap_err(),
+            "field `issue` out of range: 4294967304"
+        );
+        let wide = request_to_json(&request()).replace("\"branches\":1", "\"branches\":4294967297");
+        assert!(parse_request(&wide).unwrap_err().contains("`branches`"));
     }
 
     #[test]
@@ -1068,5 +1110,62 @@ mod tests {
         assert!(read_http_request(&mut &b""[..]).unwrap().is_none());
         let huge = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", usize::MAX);
         assert!(read_http_request(&mut huge.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn http_heads_are_bounded() {
+        // A request line with no newline stops at the cap.
+        let endless = vec![b'a'; 4 * MAX_HEAD_BYTES];
+        let err = read_http_request(&mut &endless[..]).unwrap_err();
+        assert!(err.to_string().contains("exceeds cap"), "{err}");
+        // So do headers that never end, however short each line is.
+        let mut many = b"GET /healthz HTTP/1.1\r\n".to_vec();
+        while many.len() <= MAX_HEAD_BYTES {
+            many.extend_from_slice(b"X-Pad: 1\r\n");
+        }
+        many.extend_from_slice(b"\r\n");
+        let err = read_http_request(&mut &many[..]).unwrap_err();
+        assert!(err.to_string().contains("exceeds cap"), "{err}");
+        // A head of exactly the cap still parses, body and all.
+        let mut fits = b"POST /v1/cell HTTP/1.1\r\nContent-Length: 2\r\n".to_vec();
+        let pad = MAX_HEAD_BYTES - fits.len() - b"X: \r\n\r\n".len();
+        fits.extend_from_slice(format!("X: {}\r\n\r\nok", "p".repeat(pad)).as_bytes());
+        let req = read_http_request(&mut &fits[..]).unwrap().unwrap();
+        assert_eq!(req.body, "ok");
+    }
+
+    /// Counts the `write` calls a message takes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_http_message_is_one_write() {
+        let mut w = CountingWriter::default();
+        write_http_response(&mut w, 200, "{\"status\":\"ok\"}").unwrap();
+        assert_eq!(w.writes, 1);
+        let text = String::from_utf8(w.bytes).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+        assert!(text.ends_with("\r\n\r\n{\"status\":\"ok\"}"), "{text}");
+
+        let mut w = CountingWriter::default();
+        write_http_request(&mut w, "127.0.0.1:1", "POST", "/v1/cell", "abcd").unwrap();
+        assert_eq!(w.writes, 1);
+        let req = read_http_request(&mut &w.bytes[..]).unwrap().unwrap();
+        assert_eq!((req.method.as_str(), req.body.as_str()), ("POST", "abcd"));
     }
 }

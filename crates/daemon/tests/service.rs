@@ -12,8 +12,11 @@ use hyperpred::service::{
 use hyperpred::{CellRequest, Client, ClientConfig, Model};
 use hyperpred_daemon::{Daemon, DaemonConfig};
 use hyperpred_sim::{MemoryModel, DEFAULT_CYCLE_LIMIT};
-use std::path::PathBuf;
-use std::time::Duration;
+use std::io::{Read, Write};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -23,9 +26,13 @@ fn tmpdir(name: &str) -> PathBuf {
 }
 
 fn start_daemon(store: &str, max_active: usize, max_waiting: usize) -> Daemon {
+    start_on(&tmpdir(store), max_active, max_waiting)
+}
+
+fn start_on(store_dir: &Path, max_active: usize, max_waiting: usize) -> Daemon {
     Daemon::start(DaemonConfig {
         addr: "127.0.0.1:0".to_string(),
-        store_dir: tmpdir(store),
+        store_dir: store_dir.to_path_buf(),
         max_active,
         max_waiting,
         ..DaemonConfig::default()
@@ -124,6 +131,15 @@ fn malformed_requests_get_typed_errors_not_aborts() {
     let resp = service::parse_response(&body).expect("typed response");
     assert_eq!(resp.status, CellStatus::Failed);
     assert_eq!(resp.stage.as_deref(), Some("compile"));
+
+    // Widths past u32 are a typed 400 naming the field, never a cell
+    // keyed (and served) at the truncated width.
+    let wide = service::request_to_json(&req)
+        .replace("\"issue\":4,", "\"issue\":4294967304,")
+        .replace("\"branches\":1,", "\"branches\":4294967297,");
+    let (status, body) = http_post(&addr, "/v1/cell", &wide).expect("post wide widths");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("`issue` out of range"), "{body}");
 
     // Unknown endpoints 404; the daemon still answers afterwards.
     let (status, _) = http_post(&addr, "/v1/nope", "{}").expect("post unknown path");
@@ -348,6 +364,133 @@ fn client_retries_queue_full_rejections_until_served() {
          reject at least once"
     );
 
+    daemon.request_shutdown();
+    daemon.wait();
+}
+
+#[test]
+fn healthz_round_trips_wait_on_no_timer() {
+    let daemon = start_daemon("daemon-healthz-latency", 0, 8);
+    let addr = daemon.addr().to_string();
+    // Best of three rounds, so a busy test machine does not decide it: a
+    // 2 ms accept poll puts every round at 400 ms or more.
+    let fastest = (0..3)
+        .map(|_| {
+            let started = Instant::now();
+            for _ in 0..200 {
+                let (status, _) = http_call(&addr, "GET", "/healthz", "").expect("healthz");
+                assert_eq!(status, 200);
+            }
+            started.elapsed()
+        })
+        .min()
+        .expect("three rounds");
+    assert!(
+        fastest < Duration::from_millis(200),
+        "200 sequential /healthz round trips took {fastest:?}; an accept \
+         poll would add milliseconds to each"
+    );
+    daemon.request_shutdown();
+    daemon.wait();
+}
+
+#[test]
+fn shutdown_flag_alone_stops_an_idle_daemon() {
+    let daemon = start_daemon("daemon-flag-only", 0, 8);
+    let (status, _) = http_call(&daemon.addr().to_string(), "GET", "/healthz", "").expect("up");
+    assert_eq!(status, 200);
+    // What the signal handler does: one store to the flag, no connection.
+    daemon.shutdown_flag().store(true, Ordering::Release);
+    let (done_tx, done) = mpsc::channel();
+    std::thread::spawn(move || {
+        daemon.wait();
+        let _ = done_tx.send(());
+    });
+    done.recv_timeout(Duration::from_secs(5))
+        .expect("wait() must return within 5 s of the flag flipping");
+}
+
+#[test]
+fn cell_computing_at_shutdown_still_answers_and_is_stored() {
+    let store = tmpdir("daemon-drain-compute");
+    let daemon = start_on(&store, 1, 0);
+    let addr = daemon.addr().to_string();
+    let cell = CellRequest {
+        name: "drain-slow".to_string(),
+        source: "int main() {
+            int i; int s; s = 11;
+            for (i = 0; i < 400000; i += 1) {
+                if (i % 3 == 0) s += i; else s -= 1;
+            }
+            return s;
+        }"
+        .to_string(),
+        args: vec![],
+        model: Model::Superblock,
+        issue: 4,
+        branches: 1,
+        memory: MemoryModel::Perfect,
+        max_cycles: DEFAULT_CYCLE_LIMIT,
+    };
+    let client = {
+        let (addr, body) = (addr.clone(), service::request_to_json(&cell));
+        std::thread::spawn(move || http_post(&addr, "/v1/cell", &body).expect("post cell"))
+    };
+    // Shut down only once the cell holds the compute slot.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let (_, stats) = http_call(&addr, "GET", "/v1/stats", "").expect("stats");
+        if get_u64(&stats, "active") == Some(1) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the cell never started: {stats}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    daemon.request_shutdown();
+    daemon.wait();
+    let (status, body) = client.join().expect("client");
+    assert_eq!(status, 200, "{body}");
+    let computed = service::parse_response(&body).expect("typed response");
+    assert_eq!(computed.status, CellStatus::Computed, "{computed:?}");
+
+    // The drained result is durable: a restart serves it as a hit.
+    let daemon = start_on(&store, 1, 0);
+    let (status, body) = http_post(
+        &daemon.addr().to_string(),
+        "/v1/cell",
+        &service::request_to_json(&cell),
+    )
+    .expect("post again");
+    assert_eq!(status, 200, "{body}");
+    let hit = service::parse_response(&body).expect("typed response");
+    assert_eq!(hit.status, CellStatus::Hit, "{hit:?}");
+    assert_eq!(hit.stats, computed.stats);
+    daemon.request_shutdown();
+    daemon.wait();
+}
+
+#[test]
+fn endless_request_line_gets_413() {
+    let daemon = start_daemon("daemon-endless-head", 0, 8);
+    let mut stream = std::net::TcpStream::connect(daemon.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    // 1 MiB with no newline; the daemon answers long before it is all
+    // sent, so writing runs beside reading and may end in a reset.
+    let mut writer = stream.try_clone().expect("clone");
+    let sender = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'a'; 1 << 20]);
+    });
+    let mut answer = Vec::new();
+    let _ = stream.read_to_end(&mut answer);
+    let answer = String::from_utf8_lossy(&answer);
+    assert!(answer.starts_with("HTTP/1.1 413 "), "{answer}");
+    assert!(answer.contains("exceeds cap"), "{answer}");
+    sender.join().expect("sender");
+    // The daemon still serves afterwards.
+    let (status, _) = http_call(&daemon.addr().to_string(), "GET", "/healthz", "").expect("up");
+    assert_eq!(status, 200);
     daemon.request_shutdown();
     daemon.wait();
 }
