@@ -33,9 +33,9 @@
 //!
 //! The durability flags (each implies `--keep-going`):
 //!
-//! * `--resume FILE` — journal every completed cell to `FILE` (JSONL) and
-//!   reuse journaled cells on a later run, so a killed run resumes where
-//!   it left off with bit-identical stats;
+//! * `--resume DIR` — journal every completed cell to the store directory
+//!   `DIR` and reuse journaled cells on a later run, so a killed run
+//!   resumes where it left off with bit-identical stats;
 //! * `--retries N` — re-run transiently failing cells up to `N` attempts;
 //! * `--deadline SECS` — per-cell wall-clock watchdog alongside the cycle
 //!   budget;
@@ -48,7 +48,7 @@ use hyperpred::faults::{cycle_hog_fixture, panic_fixture};
 use hyperpred::workloads::Scale;
 use hyperpred::{
     branch_table, instruction_table, run_matrix, speedup_table, summarize_run, BenchResult,
-    Experiment, FailurePolicy, MatrixConfig, Pipeline, RetryPolicy, RunJournal, TriageConfig,
+    Experiment, FailurePolicy, MatrixConfig, Pipeline, RetryPolicy, Store, TriageConfig,
 };
 use hyperpred_bench::hotpath::{check_regression, run_bench, BenchConfig};
 use std::process::ExitCode;
@@ -81,7 +81,7 @@ fn usage() -> ExitCode {
         "usage: figures [fig8|fig9|fig10|fig11|table2|table3 ...] \
          [--scale test|full] [--threads N] [--verbose] \
          [--keep-going] [--inject-faults] \
-         [--resume journal.jsonl] [--retries N] [--deadline SECS] \
+         [--resume DIR] [--retries N] [--deadline SECS] \
          [--triage DIR] [--max-cells N] \
          [--bench N [--bench-out FILE] [--bench-baseline FILE]]"
     );
@@ -260,7 +260,7 @@ fn main() -> ExitCode {
         workloads.push(cycle_hog_fixture(4_000_000));
     }
     let journal = match &opts.resume {
-        Some(p) => match RunJournal::open(p) {
+        Some(p) => match Store::open(p) {
             Ok(j) => Some(j),
             Err(e) => {
                 eprintln!("figures: cannot open journal {p}: {e}");

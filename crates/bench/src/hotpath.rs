@@ -20,9 +20,10 @@
 //! Compilation and pre-decode are deliberately outside every timed
 //! region — the hot paths under test are emulate and emulate+simulate.
 //!
-//! [`BenchReport::to_json`] serializes the result (hand-rolled JSON, no
-//! serde in the tree); the committed `BENCH_hotpath.json` at the repo
-//! root is the regression baseline. [`check_regression`] implements the
+//! [`BenchReport::to_json`] serializes the result (hand-rolled JSON
+//! whose spacing CI greps); the committed `BENCH_hotpath.json` at the
+//! repo root is the regression baseline, read back through
+//! `hyperpred::json`. [`check_regression`] implements the
 //! CI guard: the run fails if aggregate emulated insts/sec drops below
 //! [`REGRESSION_FLOOR`] of the baseline. The floor is tight enough to
 //! catch a 1.5x hot-path slowdown (an accidental allocation or hash
@@ -31,6 +32,7 @@
 //! and the CI runner.
 
 use hyperpred::emu::{DecodedModule, Emulator, NullSink};
+use hyperpred::json::{self, Value};
 use hyperpred::lang::lower::entry_args;
 use hyperpred::sched::MachineConfig;
 use hyperpred::sim::{simulate_decoded, SimConfig, SimStats};
@@ -369,26 +371,6 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, PipelineError> {
     })
 }
 
-/// Extracts a top-level-unique numeric field from hand-rolled JSON.
-/// Good enough for our own schema; not a general JSON parser.
-fn json_number_field(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts a string field (first occurrence) from hand-rolled JSON.
-fn json_string_field(json: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json[at..].trim_start().strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
 /// The CI regression guard: compares a fresh report against the
 /// committed baseline JSON.
 ///
@@ -399,16 +381,19 @@ fn json_string_field(json: &str, key: &str) -> Option<String> {
 /// unreadable, was recorded at a different scale, or when aggregate
 /// emulated insts/sec dropped below [`REGRESSION_FLOOR`] of it.
 pub fn check_regression(report: &BenchReport, baseline_json: &str) -> Result<String, String> {
-    let version = json_number_field(baseline_json, "version")
-        .ok_or_else(|| "baseline JSON has no \"version\" field".to_string())?;
-    if version as u64 != BENCH_JSON_VERSION {
+    let baseline = json::parse(baseline_json).map_err(|e| format!("baseline JSON: {e}"))?;
+    let version = baseline
+        .field("version", Value::num::<u64>)?
+        .ok_or("baseline JSON has no \"version\" field")?;
+    if version != BENCH_JSON_VERSION {
         return Err(format!(
             "baseline schema version {version} != supported {BENCH_JSON_VERSION}; \
              regenerate the baseline"
         ));
     }
-    let base_scale = json_string_field(baseline_json, "scale")
-        .ok_or_else(|| "baseline JSON has no \"scale\" field".to_string())?;
+    let base_scale = baseline
+        .field("scale", Value::as_str)?
+        .ok_or("baseline JSON has no \"scale\" field")?;
     if base_scale != scale_slug(report.scale) {
         return Err(format!(
             "baseline was recorded at scale \"{base_scale}\" but this run used \
@@ -416,8 +401,11 @@ pub fn check_regression(report: &BenchReport, baseline_json: &str) -> Result<Str
             scale_slug(report.scale)
         ));
     }
-    let base_ips = json_number_field(baseline_json, "emulated_insts_per_sec")
-        .ok_or_else(|| "baseline JSON has no \"emulated_insts_per_sec\" field".to_string())?;
+    let base_ips = baseline
+        .get("aggregate")
+        .and_then(|a| a.get("emulated_insts_per_sec"))
+        .and_then(Value::num::<f64>)
+        .ok_or("baseline JSON has no \"aggregate.emulated_insts_per_sec\" field")?;
     let cur_ips = report.insts_per_sec();
     let floor = base_ips * REGRESSION_FLOOR;
     if cur_ips < floor {
@@ -457,6 +445,16 @@ mod tests {
         }
     }
 
+    /// One `aggregate` rate of a report, read the way the guard reads it.
+    fn aggregate_rate(report: &str, key: &str) -> f64 {
+        json::parse(report)
+            .expect("the report is valid JSON")
+            .get("aggregate")
+            .and_then(|a| a.get(key))
+            .and_then(Value::num::<f64>)
+            .expect("aggregate rate")
+    }
+
     #[test]
     fn median_is_midpoint_of_sorted_samples() {
         assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
@@ -467,18 +465,22 @@ mod tests {
     #[test]
     fn json_roundtrips_through_the_guard_parsers() {
         let r = report_with_rate(1_000_000, 0.25);
-        let json = r.to_json();
-        assert_eq!(json_number_field(&json, "version"), Some(2.0));
-        assert_eq!(json_string_field(&json, "scale").as_deref(), Some("test"));
-        let ips = json_number_field(&json, "emulated_insts_per_sec").expect("aggregate rate");
+        let text = r.to_json();
+        let json = json::parse(&text).expect("the report is valid JSON");
+        assert_eq!(json.get("version").and_then(Value::num::<u64>), Some(2));
+        assert_eq!(json.get("scale").and_then(Value::as_str), Some("test"));
+        let ips = aggregate_rate(&text, "emulated_insts_per_sec");
         assert!((ips - r.insts_per_sec()).abs() < 1.0, "{ips}");
-        let cps = json_number_field(&json, "simulated_cycles_per_sec").expect("cycle rate");
+        let cps = aggregate_rate(&text, "simulated_cycles_per_sec");
         assert!((cps - r.cycles_per_sec()).abs() < 1.0, "{cps}");
         // Per-cell fields are present and the cell list is well-formed.
-        assert!(json.contains("\"workload\": \"wl\""));
-        assert!(json.contains("\"model\": \"fullpred\""));
-        assert!(json.contains("\"emu_median_secs\""));
-        assert!(json.contains("\"sim_median_secs\""));
+        let cell = &json.get("cells").and_then(Value::as_array).expect("cells")[0];
+        assert_eq!(cell.get("workload").and_then(Value::as_str), Some("wl"));
+        assert_eq!(cell.get("model").and_then(Value::as_str), Some("fullpred"));
+        assert!(cell.get("emu_median_secs").is_some());
+        assert!(cell.get("sim_median_secs").is_some());
+        // CI greps this spacing.
+        assert!(text.contains("\"scale\": \"test\""));
     }
 
     #[test]
@@ -494,7 +496,7 @@ mod tests {
         let json = r.to_json();
         assert!(!json.contains("inf"), "{json}");
         assert!(!json.contains("NaN"), "{json}");
-        let ips = json_number_field(&json, "emulated_insts_per_sec").expect("parseable rate");
+        let ips = aggregate_rate(&json, "emulated_insts_per_sec");
         assert!(ips.is_finite() && ips > 0.0, "{ips}");
         // The clamp floor bounds the reported rate.
         assert!(ips <= 1_000_000.0 / MIN_MEASURABLE_SECS);

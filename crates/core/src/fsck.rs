@@ -2,9 +2,10 @@
 //! `hyperpredc fsck <store>`.
 //!
 //! [`fsck`] walks every segment of a [`Store`](crate::store::Store)
-//! directory and classifies each line with the exact rules the store's
-//! own loader uses (valid checksummed cell / meta / foreign-version /
-//! torn tail / corrupt), then reports what it found. With
+//! directory — a daemon's store, or the `--resume` directory of a
+//! `figures` or `soak` run — and classifies each line with the store's
+//! own scanner (valid checksummed cell / meta / foreign-version / torn
+//! tail / corrupt), then reports what it found. With
 //! [`FsckOptions::repair`] it also fixes what can be fixed without
 //! guessing:
 //!
@@ -29,9 +30,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::journal::{is_expected_skip, parse_cell_line, CellIndex};
+use crate::journal::{CellIndex, Line};
 use crate::store::{
-    is_segment_name, lock_is_stale, CompactStats, Store, StoreConfig, COMPACT_LOCK,
+    is_segment_name, lock_is_stale, scan_segment, CompactStats, Store, StoreConfig, COMPACT_LOCK,
     DEFAULT_LOCK_STALE_AFTER, TMP_PREFIX,
 };
 use crate::vfs::Vfs;
@@ -192,36 +193,24 @@ impl SegmentScan {
 
 fn scan_one(vfs: &Vfs, path: &Path, index: &mut CellIndex) -> io::Result<SegmentScan> {
     let content = vfs.read_to_string(path)?;
-    let lines: Vec<&str> = content.lines().collect();
-    let mut scan = SegmentScan {
-        path: path.to_path_buf(),
-        kept: Vec::new(),
-        bad: Vec::new(),
-        torn: None,
-    };
-    for (idx, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Some((fp, stats)) = parse_cell_line(line) {
+    let (mut kept, mut bad, mut torn) = (Vec::new(), Vec::new(), None);
+    // Meta and foreign-version lines survive a rewrite; a torn tail
+    // does not.
+    scan_segment(&content, |line, class| match class {
+        Line::Cell(fp, stats) => {
             index.insert(&fp, stats);
-            scan.kept.push((*line).to_string());
-            continue;
+            kept.push(line.to_string());
         }
-        let is_last = idx + 1 == lines.len();
-        if is_expected_skip(line, is_last) {
-            // Meta and foreign-version lines survive a rewrite; a torn
-            // tail does not.
-            if is_last && !line.trim_end().ends_with('}') {
-                scan.torn = Some((*line).to_string());
-            } else {
-                scan.kept.push((*line).to_string());
-            }
-        } else {
-            scan.bad.push((*line).to_string());
-        }
-    }
-    Ok(scan)
+        Line::Skip => kept.push(line.to_string()),
+        Line::Torn => torn = Some(line.to_string()),
+        Line::Corrupt => bad.push(line.to_string()),
+    });
+    Ok(SegmentScan {
+        path: path.to_path_buf(),
+        kept,
+        bad,
+        torn,
+    })
 }
 
 /// Rewrites one damaged segment crash-safely (scratch + fsync + rename
@@ -413,7 +402,7 @@ mod tests {
             let store = Store::open(&dir).unwrap();
             store.put(&entry("aa", &s1)).unwrap();
             store.put(&entry("bb", &stats(2))).unwrap();
-            store.segment_path()
+            store.segment_path().expect("the puts created a segment")
         };
         // Damage the segment: a checksum-failing line mid-file (flip a
         // digit of a valid record) and a torn tail.

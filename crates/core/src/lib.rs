@@ -44,6 +44,7 @@ pub mod experiments;
 pub mod faults;
 pub mod fsck;
 pub mod journal;
+pub mod json;
 pub mod matrix;
 pub mod pipeline;
 pub mod predoracle;
@@ -60,7 +61,7 @@ pub use experiments::{
     BenchResult, Experiment,
 };
 pub use fsck::{fsck, FsckOptions, FsckReport};
-pub use journal::{fnv64, JournalConflict, JournalEntry, RecordOutcome, RunJournal};
+pub use journal::{fnv64, JournalConflict, JournalEntry, RecordOutcome};
 pub use matrix::{
     request_fingerprint, run_matrix, run_request, service_namespace, CellFailure, CellOutcome,
     CellRequest, CellStat, EngineStats, FailurePayload, FailurePolicy, FailureReport, FailureStage,

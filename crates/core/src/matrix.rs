@@ -44,11 +44,10 @@
 //! [`run_matrix`] layers crash-safety on top of isolation via a
 //! [`MatrixConfig`]:
 //!
-//! * a [`RunJournal`] makes runs *resumable*: every completed cell is
-//!   appended (fingerprint-keyed) to an append-only JSONL file, and a
-//!   later run handed the same journal copies journaled stats back
-//!   bit-identically instead of re-running the cell — at any thread
-//!   count, since cells are independent;
+//! * a journal [`Store`] makes runs *resumable*: every completed cell is
+//!   stored under its fingerprint, and a later run handed the same store
+//!   copies journaled stats back bit-identically instead of re-running
+//!   the cell — at any thread count, since cells are independent;
 //! * a [`RetryPolicy`] re-runs cells whose failure is plausibly
 //!   transient (contained panics, watchdog trips) a bounded number of
 //!   times, un-memoizing the compile cache's failure slots in between so
@@ -62,8 +61,9 @@
 //!   `hyperpredc repro`.
 
 use crate::experiments::{BenchResult, Experiment};
-use crate::journal::{fnv64, model_slug, JournalEntry, RecordOutcome, RunJournal};
+use crate::journal::{fnv64, model_slug, JournalEntry, RecordOutcome};
 use crate::pipeline::{Degradation, FrontOutput, Model, Pipeline, PipelineError};
+use crate::store::Store;
 use crate::triage::{self, ReproCell, TriageConfig};
 use hyperpred_emu::DecodedModule;
 use hyperpred_ir::Module;
@@ -443,9 +443,9 @@ pub struct MatrixConfig<'a> {
     /// Per-cell, per-attempt wall-clock budget, enforced cooperatively by
     /// the simulator alongside its cycle budget.
     pub deadline: Option<Duration>,
-    /// Durable journal: completed cells are appended, journaled cells are
+    /// Durable journal: completed cells are stored, stored cells are
     /// reused instead of re-run.
-    pub journal: Option<&'a RunJournal>,
+    pub journal: Option<&'a Store>,
     /// Emit a repro bundle for every permanent failure.
     pub triage: Option<&'a TriageConfig>,
     /// Stop claiming cells past this queue index (test/chaos hook: makes
@@ -1105,7 +1105,7 @@ pub fn run_matrix(
 
     // Appends a completed cell to the run journal. Durability degrades,
     // the run continues: append errors and conflicts are reported only.
-    let record = |journal: &RunJournal, entry: JournalEntry<'_>| match journal.record(&entry) {
+    let record = |journal: &Store, entry: JournalEntry<'_>| match journal.put(&entry) {
         Ok(RecordOutcome::Appended) => {
             journal_appends.fetch_add(1, Ordering::Relaxed);
         }
@@ -1142,7 +1142,7 @@ pub fn run_matrix(
                 let journal = cfg.journal.zip(fps.as_deref().map(|fps| fps[i].as_str()));
                 // Resume: a journaled cell's stats are copied back
                 // bit-identically; nothing about it re-runs.
-                if let Some(stats) = journal.and_then(|(j, fp)| j.lookup(fp)) {
+                if let Some(stats) = journal.and_then(|(j, fp)| j.get(fp)) {
                     match fill_slot(slot(cell), stats, workload, model) {
                         Ok(()) => {
                             journal_hits.fetch_add(1, Ordering::Relaxed);

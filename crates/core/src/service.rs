@@ -1,7 +1,8 @@
 //! Wire protocol and client for the `hyperpredd` compile-and-simulate
-//! service: hand-rolled JSON (like the journal — no serde in the tree), a
-//! minimal HTTP/1.1 reader/writer shared by the daemon and its clients,
-//! and the `bench-load` request generator.
+//! service: the request, response and batch codecs (on [`crate::json`],
+//! the crate's one JSON reader and writer), a minimal HTTP/1.1
+//! reader/writer shared by the daemon and its clients, and the
+//! `bench-load` request generator.
 //!
 //! # Protocol
 //!
@@ -16,9 +17,9 @@
 //!   failed, rejected, conflicts, queue depth).
 //! * `GET /healthz` — liveness probe, body `ok`.
 //!
-//! A cell request (`source` is deliberately serialized *last* — every
-//! other key is matched before the one free-text field that could spoof
-//! key patterns):
+//! A cell request (standard JSON escapes decode; a field present with
+//! the wrong type is a `400` naming it; `source` is still written last,
+//! which keeps the bytes earlier clients sent but guards against nothing):
 //!
 //! ```text
 //! {"name":"gen-branchy-1","model":"fullpred","issue":8,"branches":1,
@@ -40,7 +41,8 @@
 //! {"status":"rejected","fingerprint":"","error":"queue full (depth 256); retry later"}
 //! ```
 
-use crate::journal::escape;
+use crate::journal::{model_from_slug, model_slug, push_stats, read_stats};
+use crate::json::{self, Object, Value};
 use crate::matrix::CellRequest;
 use crate::pipeline::Model;
 use hyperpred_sim::{CacheConfig, MemoryModel, SimStats, DEFAULT_CYCLE_LIMIT};
@@ -59,185 +61,19 @@ pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 pub const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 // ---------------------------------------------------------------------------
-// JSON primitives (backslash-aware key search; values use journal escaping).
-// ---------------------------------------------------------------------------
-
-/// Finds the byte offset just past `"key":`, skipping candidate matches
-/// preceded by a backslash (i.e. key text embedded inside an escaped
-/// string value).
-fn find_key(json: &str, key: &str) -> Option<usize> {
-    let pat = format!("\"{key}\":");
-    let mut from = 0;
-    while let Some(rel) = json[from..].find(&pat) {
-        let at = from + rel;
-        if at == 0 || json.as_bytes()[at - 1] != b'\\' {
-            return Some(at + pat.len());
-        }
-        from = at + 1;
-    }
-    None
-}
-
-/// Extracts a string field (journal-escaped) from one JSON object.
-pub fn get_str(json: &str, key: &str) -> Option<String> {
-    let at = find_key(json, key)?;
-    let rest = json[at..].trim_start().strip_prefix('"')?;
-    let mut end = None;
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            end = Some(i);
-            break;
-        }
-    }
-    Some(crate::journal::unescape(&rest[..end?]))
-}
-
-fn get_number<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let at = find_key(json, key)?;
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '-'))
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    Some(&rest[..end])
-}
-
-/// Extracts an unsigned integer field.
-pub fn get_u64(json: &str, key: &str) -> Option<u64> {
-    get_number(json, key)?.parse().ok()
-}
-
-/// Extracts a signed integer field.
-pub fn get_i64(json: &str, key: &str) -> Option<i64> {
-    get_number(json, key)?.parse().ok()
-}
-
-/// Extracts a `true`/`false` field.
-pub fn get_bool(json: &str, key: &str) -> Option<bool> {
-    let at = find_key(json, key)?;
-    let rest = json[at..].trim_start();
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Extracts a flat `[1,-2,...]` integer array field (`[]` is `Some(vec![])`).
-pub fn get_i64_array(json: &str, key: &str) -> Option<Vec<i64>> {
-    let at = find_key(json, key)?;
-    let rest = json[at..].trim_start().strip_prefix('[')?;
-    let end = rest.find(']')?;
-    let body = rest[..end].trim();
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',').map(|t| t.trim().parse().ok()).collect()
-}
-
-/// Splits the top-level objects out of a JSON array body, tracking brace
-/// depth and string/escape state so braces inside source text never
-/// confuse the split. `body` is everything between the array's `[` and
-/// `]` (exclusive is fine; surrounding whitespace tolerated).
-fn split_objects(body: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let bytes = body.as_bytes();
-    let mut depth = 0usize;
-    let mut start = None;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, &b) in bytes.iter().enumerate() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_str = true,
-            b'{' => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            b'}' => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    if let Some(s) = start.take() {
-                        out.push(&body[s..=i]);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Locates the body of the array under `key` (between its brackets).
-fn array_body<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let at = find_key(json, key)?;
-    let rest = &json[at..];
-    let open = rest.find('[')?;
-    // Walk to the matching close bracket, honoring strings.
-    let bytes = rest.as_bytes();
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, &b) in bytes.iter().enumerate().skip(open) {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_str = true,
-            b'[' => depth += 1,
-            b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[open + 1..i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-// ---------------------------------------------------------------------------
 // Cell request serialization.
 // ---------------------------------------------------------------------------
 
 /// The wire slug of a memory model (`CacheConfig` geometry is always the
 /// default one; the experiment layer never uses another).
-fn memory_slug(m: &MemoryModel) -> &'static str {
+pub(crate) fn memory_slug(m: &MemoryModel) -> &'static str {
     match m {
         MemoryModel::Perfect => "perfect",
         MemoryModel::Caches(_) => "caches",
     }
 }
 
-fn parse_memory(slug: &str) -> Option<MemoryModel> {
+pub(crate) fn parse_memory(slug: &str) -> Option<MemoryModel> {
     match slug {
         "perfect" => Some(MemoryModel::Perfect),
         "caches" => Some(MemoryModel::Caches(CacheConfig::default())),
@@ -245,73 +81,89 @@ fn parse_memory(slug: &str) -> Option<MemoryModel> {
     }
 }
 
-fn parse_model(slug: &str) -> Option<Model> {
-    match slug {
-        "superblock" => Some(Model::Superblock),
-        "condmove" => Some(Model::CondMove),
-        "fullpred" => Some(Model::FullPred),
-        _ => None,
-    }
-}
-
 /// Serializes one request. `source` goes last (see module docs).
 pub fn request_to_json(req: &CellRequest) -> String {
-    let args: Vec<String> = req.args.iter().map(i64::to_string).collect();
-    format!(
-        "{{\"name\":\"{}\",\"model\":\"{}\",\"issue\":{},\"branches\":{},\
-         \"memory\":\"{}\",\"max_cycles\":{},\"args\":[{}],\"source\":\"{}\"}}",
-        escape(&req.name),
-        crate::journal::model_slug(Some(req.model)),
-        req.issue,
-        req.branches,
-        memory_slug(&req.memory),
-        req.max_cycles,
-        args.join(","),
-        escape(&req.source),
-    )
+    Object::default()
+        .str("name", &req.name)
+        .str("model", model_slug(Some(req.model)))
+        .u64("issue", req.issue.into())
+        .u64("branches", req.branches.into())
+        .str("memory", memory_slug(&req.memory))
+        .u64("max_cycles", req.max_cycles)
+        .raw("args", &json::array(req.args.iter().map(i64::to_string)))
+        .str("source", &req.source)
+        .finish()
 }
 
 /// A required width field; a value past `u32` is an error naming the
 /// field, never a silently truncated width.
-fn get_u32(json: &str, key: &str) -> Result<u32, String> {
-    let n = get_u64(json, key).ok_or_else(|| format!("missing field `{key}`"))?;
+pub(crate) fn width(v: &Value<'_>, key: &str) -> Result<u32, String> {
+    let n = v
+        .field(key, Value::num::<u64>)?
+        .ok_or_else(|| format!("missing field `{key}`"))?;
     u32::try_from(n).map_err(|_| format!("field `{key}` out of range: {n}"))
+}
+
+/// Reads one parsed request object.
+fn request_from(v: &Value<'_>) -> Result<CellRequest, String> {
+    let text = |key: &str| v.field(key, Value::as_str);
+    let model_slug = text("model")?.ok_or("missing field `model`")?;
+    let model =
+        model_from_slug(model_slug).ok_or_else(|| format!("unknown model `{model_slug}`"))?;
+    let memory_slug = text("memory")?.unwrap_or("perfect");
+    let memory =
+        parse_memory(memory_slug).ok_or_else(|| format!("unknown memory `{memory_slug}`"))?;
+    Ok(CellRequest {
+        name: text("name")?.unwrap_or_default().to_string(),
+        source: text("source")?.ok_or("missing field `source`")?.to_string(),
+        args: v
+            .field("args", |a| a.as_array()?.iter().map(Value::num).collect())?
+            .unwrap_or_default(),
+        model,
+        issue: width(v, "issue")?,
+        branches: width(v, "branches")?,
+        memory,
+        max_cycles: v
+            .field("max_cycles", Value::num)?
+            .unwrap_or(DEFAULT_CYCLE_LIMIT),
+    })
 }
 
 /// Parses one request object; the error names the first missing or
 /// malformed field (it becomes the daemon's `400` body).
 pub fn parse_request(json: &str) -> Result<CellRequest, String> {
-    let model_slug = get_str(json, "model").ok_or("missing field `model`")?;
-    let model = parse_model(&model_slug).ok_or_else(|| format!("unknown model `{model_slug}`"))?;
-    let memory_slug = get_str(json, "memory").unwrap_or_else(|| "perfect".to_string());
-    let memory =
-        parse_memory(&memory_slug).ok_or_else(|| format!("unknown memory `{memory_slug}`"))?;
-    Ok(CellRequest {
-        name: get_str(json, "name").unwrap_or_default(),
-        source: get_str(json, "source").ok_or("missing field `source`")?,
-        args: get_i64_array(json, "args").unwrap_or_default(),
-        model,
-        issue: get_u32(json, "issue")?,
-        branches: get_u32(json, "branches")?,
-        memory,
-        max_cycles: get_u64(json, "max_cycles").unwrap_or(DEFAULT_CYCLE_LIMIT),
-    })
+    request_from(&json::parse(json).map_err(|e| e.to_string())?)
 }
 
 /// Serializes a batch body: `{"cells":[...]}`.
 pub fn batch_to_json(reqs: &[CellRequest]) -> String {
-    let cells: Vec<String> = reqs.iter().map(request_to_json).collect();
-    format!("{{\"cells\":[{}]}}", cells.join(","))
+    Object::default()
+        .raw("cells", &json::array(reqs.iter().map(request_to_json)))
+        .finish()
+}
+
+/// The array under `key` of a parsed batch object, each element read by
+/// `item` (errors prefixed with `label` and the element's index).
+fn batch_from<T>(
+    body: &str,
+    key: &str,
+    label: &str,
+    item: impl Fn(&Value<'_>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let v = json::parse(body).map_err(|e| e.to_string())?;
+    let items = v
+        .field(key, Value::as_array)?
+        .ok_or_else(|| format!("missing array `{key}`"))?;
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, v)| item(v).map_err(|e| format!("{label} {i}: {e}")))
+        .collect()
 }
 
 /// Parses a batch body into its requests, in order.
 pub fn parse_batch(json: &str) -> Result<Vec<CellRequest>, String> {
-    let body = array_body(json, "cells").ok_or("missing array `cells`")?;
-    split_objects(body)
-        .into_iter()
-        .enumerate()
-        .map(|(i, obj)| parse_request(obj).map_err(|e| format!("cell {i}: {e}")))
-        .collect()
+    batch_from(json, "cells", "cell", request_from)
 }
 
 // ---------------------------------------------------------------------------
@@ -440,84 +292,61 @@ impl CellResponse {
 
 /// Serializes one response object.
 pub fn response_to_json(resp: &CellResponse) -> String {
-    let mut out = format!(
-        "{{\"status\":\"{}\",\"fingerprint\":\"{}\"",
-        resp.status.as_str(),
-        escape(&resp.fingerprint)
-    );
+    let mut o = Object::default();
+    o.str("status", resp.status.as_str())
+        .str("fingerprint", &resp.fingerprint);
     if let Some(s) = &resp.stats {
-        out.push_str(&format!(
-            ",\"degraded\":{},\"cycles\":{},\"insts\":{},\"nullified\":{},\
-             \"branches\":{},\"mispredicts\":{},\"loads\":{},\"stores\":{},\
-             \"icache_misses\":{},\"dcache_misses\":{},\"ret\":{}",
-            resp.degraded,
-            s.cycles,
-            s.insts,
-            s.nullified,
-            s.branches,
-            s.mispredicts,
-            s.loads,
-            s.stores,
-            s.icache_misses,
-            s.dcache_misses,
-            s.ret,
-        ));
+        o.bool("degraded", resp.degraded);
+        push_stats(&mut o, s);
     }
-    if let Some(stage) = &resp.stage {
-        out.push_str(&format!(",\"stage\":\"{}\"", escape(stage)));
+    for (key, text) in [
+        ("stage", &resp.stage),
+        ("signature", &resp.signature),
+        ("error", &resp.error),
+    ] {
+        if let Some(text) = text {
+            o.str(key, text);
+        }
     }
-    if let Some(sig) = &resp.signature {
-        out.push_str(&format!(",\"signature\":\"{}\"", escape(sig)));
-    }
-    if let Some(err) = &resp.error {
-        out.push_str(&format!(",\"error\":\"{}\"", escape(err)));
-    }
-    out.push('}');
-    out
+    o.finish()
+}
+
+/// Reads one parsed response object.
+fn response_from(v: &Value<'_>) -> Result<CellResponse, String> {
+    let text = |key: &str| v.field(key, Value::as_str);
+    let owned = |key: &str| text(key).map(|t| t.map(str::to_string));
+    let status_slug = text("status")?.ok_or("missing field `status`")?;
+    let status =
+        CellStatus::parse(status_slug).ok_or_else(|| format!("unknown status `{status_slug}`"))?;
+    Ok(CellResponse {
+        status,
+        fingerprint: text("fingerprint")?.unwrap_or_default().to_string(),
+        stats: match v.get("cycles") {
+            Some(_) => Some(read_stats(v)?),
+            None => None,
+        },
+        degraded: v.field("degraded", Value::as_bool)?.unwrap_or(false),
+        stage: owned("stage")?,
+        signature: owned("signature")?,
+        error: owned("error")?,
+    })
 }
 
 /// Parses one response object.
 pub fn parse_response(json: &str) -> Result<CellResponse, String> {
-    let status_slug = get_str(json, "status").ok_or("missing field `status`")?;
-    let status =
-        CellStatus::parse(&status_slug).ok_or_else(|| format!("unknown status `{status_slug}`"))?;
-    let stats = get_u64(json, "cycles").map(|cycles| SimStats {
-        cycles,
-        insts: get_u64(json, "insts").unwrap_or(0),
-        nullified: get_u64(json, "nullified").unwrap_or(0),
-        branches: get_u64(json, "branches").unwrap_or(0),
-        mispredicts: get_u64(json, "mispredicts").unwrap_or(0),
-        loads: get_u64(json, "loads").unwrap_or(0),
-        stores: get_u64(json, "stores").unwrap_or(0),
-        icache_misses: get_u64(json, "icache_misses").unwrap_or(0),
-        dcache_misses: get_u64(json, "dcache_misses").unwrap_or(0),
-        ret: get_i64(json, "ret").unwrap_or(0),
-    });
-    Ok(CellResponse {
-        status,
-        fingerprint: get_str(json, "fingerprint").unwrap_or_default(),
-        stats,
-        degraded: get_bool(json, "degraded").unwrap_or(false),
-        stage: get_str(json, "stage"),
-        signature: get_str(json, "signature"),
-        error: get_str(json, "error"),
-    })
+    response_from(&json::parse(json).map_err(|e| e.to_string())?)
 }
 
 /// Serializes a batch response: `{"results":[...]}`.
 pub fn batch_response_to_json(resps: &[CellResponse]) -> String {
-    let results: Vec<String> = resps.iter().map(response_to_json).collect();
-    format!("{{\"results\":[{}]}}", results.join(","))
+    Object::default()
+        .raw("results", &json::array(resps.iter().map(response_to_json)))
+        .finish()
 }
 
 /// Parses a batch response into its per-cell answers, in order.
 pub fn parse_batch_response(json: &str) -> Result<Vec<CellResponse>, String> {
-    let body = array_body(json, "results").ok_or("missing array `results`")?;
-    split_objects(body)
-        .into_iter()
-        .enumerate()
-        .map(|(i, obj)| parse_response(obj).map_err(|e| format!("result {i}: {e}")))
-        .collect()
+    batch_from(json, "results", "result", response_from)
 }
 
 // ---------------------------------------------------------------------------
@@ -1024,11 +853,11 @@ mod tests {
     #[test]
     fn request_with_hostile_source_round_trips() {
         // Source text that contains every key pattern the parser looks
-        // for, with quotes — the backslash-aware key search must not be
-        // spoofed by the escaped copies inside the value.
+        // for, with quotes and control characters.
         let mut req = request();
         req.source =
-            "int main() { /* \"issue\":0,\"model\":\"zzz\",\"args\":[9] */ return 3; }".to_string();
+            "int main() {\t/* \"issue\":0,\"model\":\"zzz\",\"args\":[9] */\r\n return 3; }"
+                .to_string();
         req.memory = MemoryModel::Caches(CacheConfig::default());
         let json = request_to_json(&req);
         let parsed = parse_request(&json).expect("parses");
@@ -1082,6 +911,146 @@ mod tests {
         );
         let wide = request_to_json(&request()).replace("\"branches\":1", "\"branches\":4294967297");
         assert!(parse_request(&wide).unwrap_err().contains("`branches`"));
+        // A field present with the wrong type is named, never defaulted.
+        let good = request_to_json(&request());
+        for (bad, field) in [
+            (good.replace("[1,-2]", "[1,\"x\"]"), "`args`"),
+            (good.replace("1000000", "\"5\""), "`max_cycles`"),
+            (good.replace("\"issue\":8", "\"issue\":-8"), "`issue`"),
+            (good.replace("\"gen-branchy-1\"", "7"), "`name`"),
+        ] {
+            let err = parse_request(&bad).unwrap_err();
+            assert!(err.contains(field), "{bad}: {err}");
+        }
+        // Duplicated keys and trailing bytes are malformed, not ignored.
+        assert!(parse_request(&good.replace("{\"name\"", "{\"issue\":1,\"name\"")).is_err());
+        assert!(parse_request(&format!("{good} x")).is_err());
+    }
+
+    /// A request, its key, a batch, and two answers exactly as the
+    /// hand-rolled codec before `json` wrote them.
+    const PINNED_REQUEST: &str = "{\"name\":\"gen-branchy-1\",\"model\":\"condmove\",\
+        \"issue\":8,\"branches\":1,\"memory\":\"caches\",\"max_cycles\":1000000,\
+        \"args\":[1,-2],\"source\":\"int main() {\\n  return \\\"q\\\" \\\\ 1;\\n}\"}";
+    const PINNED_FINGERPRINT: &str = "77b58751dabfcd98";
+    const PINNED_HIT: &str = "{\"status\":\"hit\",\"fingerprint\":\"92ab00ff\",\
+        \"degraded\":false,\"cycles\":3222036,\"insts\":4741516,\"nullified\":12,\
+        \"branches\":400001,\"mispredicts\":9876,\"loads\":77,\"stores\":66,\
+        \"icache_misses\":5,\"dcache_misses\":4,\"ret\":-42}";
+    const PINNED_FAILED: &str = "{\"status\":\"failed\",\"fingerprint\":\"cc\",\
+        \"stage\":\"compile\",\"signature\":\"compile: 1:2 boom\",\
+        \"error\":\"1:2: boom \\\"quoted\\\"\\nnext\"}";
+
+    fn pinned_request() -> CellRequest {
+        CellRequest {
+            name: "gen-branchy-1".to_string(),
+            source: "int main() {\n  return \"q\" \\ 1;\n}".to_string(),
+            args: vec![1, -2],
+            model: Model::CondMove,
+            issue: 8,
+            branches: 1,
+            memory: MemoryModel::Caches(CacheConfig::default()),
+            max_cycles: 1_000_000,
+        }
+    }
+
+    #[test]
+    fn messages_keep_the_bytes_written_before_the_json_module() {
+        let req = pinned_request();
+        assert_eq!(request_to_json(&req), PINNED_REQUEST);
+        assert_eq!(parse_request(PINNED_REQUEST), Ok(req.clone()));
+        // The key of a release build's default pipeline (debug builds
+        // default to `checks: true`, which is part of the key).
+        let release_pipe = crate::pipeline::Pipeline {
+            checks: false,
+            ..crate::pipeline::Pipeline::default()
+        };
+        assert_eq!(
+            crate::matrix::request_fingerprint(&req, &release_pipe, true),
+            PINNED_FINGERPRINT
+        );
+        let second = CellRequest {
+            args: vec![],
+            memory: MemoryModel::Perfect,
+            model: Model::Superblock,
+            ..req.clone()
+        };
+        let batch = format!(
+            "{{\"cells\":[{PINNED_REQUEST},{}]}}",
+            PINNED_REQUEST
+                .replace("\"condmove\"", "\"superblock\"")
+                .replace("\"caches\"", "\"perfect\"")
+                .replace("[1,-2]", "[]")
+        );
+        assert_eq!(batch_to_json(&[req.clone(), second.clone()]), batch);
+        assert_eq!(parse_batch(&batch), Ok(vec![req, second]));
+        let stats = SimStats {
+            cycles: 3_222_036,
+            insts: 4_741_516,
+            nullified: 12,
+            branches: 400_001,
+            mispredicts: 9_876,
+            loads: 77,
+            stores: 66,
+            icache_misses: 5,
+            dcache_misses: 4,
+            ret: -42,
+        };
+        let hit = CellResponse::served(CellStatus::Hit, "92ab00ff".to_string(), stats, false);
+        assert_eq!(response_to_json(&hit), PINNED_HIT);
+        assert_eq!(parse_response(PINNED_HIT), Ok(hit));
+        let failed = CellResponse::failed(
+            "cc".to_string(),
+            "compile".to_string(),
+            "compile: 1:2 boom".to_string(),
+            "1:2: boom \"quoted\"\nnext".to_string(),
+        );
+        assert_eq!(response_to_json(&failed), PINNED_FAILED);
+        assert_eq!(parse_response(PINNED_FAILED), Ok(failed));
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_typed_error() {
+        for body in [
+            "[".repeat(1 << 20),
+            "{\"a\":".repeat(1 << 16),
+            format!("{{\"cells\":{}", "[".repeat(1 << 20)),
+        ] {
+            let err = parse_request(&body).unwrap_err();
+            assert!(err.contains("nesting too deep"), "{err}");
+            let err = parse_batch(&body).unwrap_err();
+            assert!(err.contains("nesting too deep"), "{err}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 512, ..proptest::ProptestConfig::default() })]
+
+        #[test]
+        fn arbitrary_bodies_are_typed_errors(seed in proptest::prelude::any::<u64>()) {
+            let bytes = crate::json::tests::jsonish_bytes(seed, 400);
+            let text = String::from_utf8_lossy(&bytes);
+            let _ = parse_request(&text);
+            let _ = parse_batch(&text);
+            let _ = parse_response(&text);
+            // One arbitrary byte spliced into a real request.
+            let mut real = request_to_json(&pinned_request()).into_bytes();
+            let at = (seed as usize / 5) % real.len();
+            real[at] = bytes.first().copied().unwrap_or(b'"');
+            let real = String::from_utf8_lossy(&real);
+            let _ = parse_request(&real);
+            let _ = parse_batch(&format!("{{\"cells\":[{real}]}}"));
+        }
+
+        #[test]
+        fn arbitrary_http_requests_are_typed_errors(seed in proptest::prelude::any::<u64>()) {
+            let mut bytes = b"POST /v1/cell HTTP/1.1\r\nContent-Length: 7\r\n\r\n{}".to_vec();
+            let noise = crate::json::tests::jsonish_bytes(seed, 96);
+            let at = (seed as usize) % (bytes.len() + 1);
+            bytes.splice(at..at, noise.iter().copied());
+            let _ = read_http_request(&mut &bytes[..]);
+            let _ = read_http_request(&mut &noise[..]);
+        }
     }
 
     #[test]

@@ -30,14 +30,15 @@
 //! soak bundles through this module's [`replay_cell`], which re-runs the
 //! same oracle battery — so even cross-model divergences minimize.
 //!
-//! Completed programs are journaled ([`RunJournal`]) under a config
-//! fingerprint; a killed soak resumed with the same journal skips them
-//! bit-identically and re-runs only what is missing.
+//! Completed programs are journaled in a [`Store`] directory under a
+//! config fingerprint; a killed soak resumed with the same directory
+//! skips them bit-identically and re-runs only what is missing.
 
-use crate::journal::{fnv64, JournalEntry, RunJournal};
+use crate::journal::{fnv64, JournalEntry};
 use crate::matrix::{catch_cell, stage_of, FailurePayload, FailureStage};
 use crate::pipeline::{FrontOutput, Model, Pipeline, PipelineError, Stage};
 use crate::predoracle::{PredClaims, PredOracleSink};
+use crate::store::Store;
 use crate::triage::{self, ReproCell, TriageConfig};
 use hyperpred_emu::decode::DCode;
 use hyperpred_emu::{DynStats, Emulator, Event, ReferenceEmulator, Tee, TraceSink};
@@ -68,7 +69,7 @@ pub struct SoakConfig {
     /// Machine shapes `(issue_width, branches_per_cycle)` each model is
     /// simulated at, on top of the canonical 1-issue baseline.
     pub widths: Vec<(u32, u32)>,
-    /// Journal file for crash-safe resume (`None` disables journaling).
+    /// Journal [`Store`] directory for crash-safe resume (`None`: off).
     pub journal: Option<PathBuf>,
     /// Repro-bundle emission for failures (`None` disables triage).
     pub triage: Option<TriageConfig>,
@@ -134,7 +135,7 @@ pub struct SoakReport {
     pub failures: Vec<SoakFailure>,
     /// True when `cell_limit` stopped the run early.
     pub interrupted: bool,
-    /// Corrupt journal records skipped at open (see [`RunJournal::corrupt`]).
+    /// Corrupt journal records skipped at open (see [`Store::corrupt`]).
     pub journal_corrupt: usize,
 }
 
@@ -541,7 +542,7 @@ fn run_program(
 /// are contained, triaged, and reported in the [`SoakReport`].
 pub fn run_soak(cfg: &SoakConfig) -> io::Result<SoakReport> {
     let journal = match &cfg.journal {
-        Some(p) => Some(RunJournal::open(p)?),
+        Some(p) => Some(Store::open(p)?),
         None => None,
     };
     let profiles: &[Profile] = if cfg.profiles.is_empty() {
@@ -551,7 +552,7 @@ pub fn run_soak(cfg: &SoakConfig) -> io::Result<SoakReport> {
     };
     let mut report = SoakReport {
         programs: cfg.cells,
-        journal_corrupt: journal.as_ref().map_or(0, RunJournal::corrupt),
+        journal_corrupt: journal.as_ref().map_or(0, Store::corrupt),
         ..SoakReport::default()
     };
 
@@ -563,7 +564,7 @@ pub fn run_soak(cfg: &SoakConfig) -> io::Result<SoakReport> {
         let profile = profiles[i % profiles.len()];
         let prog = generate(profile, cfg.seed.wrapping_add(i as u64));
         let fp = fingerprint(cfg, &prog);
-        if journal.as_ref().is_some_and(|j| j.lookup(&fp).is_some()) {
+        if journal.as_ref().is_some_and(|j| j.get(&fp).is_some()) {
             report.skipped += 1;
             continue;
         }
@@ -582,7 +583,7 @@ pub fn run_soak(cfg: &SoakConfig) -> io::Result<SoakReport> {
                     report.degraded += 1;
                 }
                 if let Some(j) = &journal {
-                    j.record(&JournalEntry {
+                    j.put(&JournalEntry {
                         fingerprint: &fp,
                         workload: &prog.name,
                         experiment: SOAK_EXPERIMENT,

@@ -1,13 +1,15 @@
-//! Content-addressed result store: the multi-writer generalization of
-//! [`RunJournal`](crate::journal::RunJournal).
+//! Content-addressed result store: the one record log. Matrix runs
+//! resumed with `figures --resume`, soak runs and the daemon all keep
+//! their cell results in a [`Store`].
 //!
-//! A [`Store`] is a *directory* of append-only JSONL segments rather than
-//! a single file. Every writer — a thread holding its own `Store` handle,
-//! or a whole separate process — owns a private segment created with
-//! `O_EXCL` (`create_new`), so concurrent writers can never interleave
-//! bytes no matter how they are scheduled or killed. Reads merge every
-//! segment in the directory through the same first-write-wins /
-//! conflict-quarantine index the journal uses, so the merged view of N
+//! A [`Store`] is a *directory* of append-only JSONL segments. Every
+//! writer — a thread holding its own `Store` handle, or a whole separate
+//! process — owns a private segment created with `O_EXCL`
+//! (`create_new`) on its first appending [`Store::put`], so concurrent
+//! writers can never interleave bytes no matter how they are scheduled
+//! or killed, and a handle that only reads creates no file at all.
+//! Reads merge every segment in the directory through one
+//! first-write-wins / conflict-quarantine index, so the merged view of N
 //! concurrent writers is bit-identical to a serial run (and any true
 //! fingerprint conflict is detected and refused, never arbitrated).
 //!
@@ -23,11 +25,13 @@
 //!   quarantine/               # written only by `hyperpredc fsck --repair`
 //! ```
 //!
-//! Each segment uses the exact journal line format (meta line first, one
-//! checksummed `cell` record per line), so a segment *is* a valid
-//! `RunJournal` file and inherits its crash tolerance: a torn trailing
-//! line is expected damage, mid-file garbage or a checksum-failing line
-//! is counted as corruption and never served.
+//! Each segment holds [record lines](crate::journal) (meta line first,
+//! one checksummed `cell` record per line), and every reader — loading,
+//! [`Store::compact`] and `fsck` — classifies them with the one
+//! [`parse_cell_line`]: a torn trailing line is expected damage,
+//! mid-file garbage or a checksum-failing line is counted as corruption
+//! and never served. An old single-file run journal loads unchanged as
+//! a segment (`seg-0.jsonl`).
 //!
 //! # Durability
 //!
@@ -52,16 +56,16 @@
 //! via pid-liveness and age and stolen instead of wedging forever. The
 //! merge is published crash-safely: scratch goes to a `tmp-` name the
 //! segment globber never matches, the scratch file is fsynced before the
-//! rename, the writer handle rotates onto a fresh segment *before* any
-//! old segment is deleted, and the directory is fsynced after the rename
-//! and after the deletes — at every crash point a reopen serves either
-//! the old segments, or the new one, or both (duplicates merge), never a
-//! partial state. Compaction snapshots the segment list at start and
-//! deletes only those files, so a segment created *by a new writer*
-//! mid-compaction survives; an append racing into a snapshotted segment
-//! of a *live foreign writer* can be lost, which is why compaction is
-//! specified to run only when other writers are quiescent (the daemon
-//! compacts from its own maintenance path).
+//! rename, the handle drops its segment writer *before* any old segment
+//! is deleted (its next `put` claims a fresh segment), and the directory
+//! is fsynced after the rename and after the deletes — at every crash
+//! point a reopen serves either the old segments, or the new one, or
+//! both (duplicates merge), never a partial state. Compaction snapshots
+//! the segment list at start and deletes only those files, so a segment
+//! created *by a new writer* mid-compaction survives; an append racing
+//! into a snapshotted segment of a *live foreign writer* can be lost,
+//! which is why compaction is specified to run only when other writers
+//! are quiescent (the daemon compacts from its own maintenance path).
 
 use hyperpred_sim::SimStats;
 use std::collections::HashMap;
@@ -72,8 +76,8 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::journal::{
-    cell_line, is_expected_skip, parse_cell_line, CellIndex, JournalConflict, JournalEntry,
-    RecordOutcome, JOURNAL_VERSION,
+    cell_line, meta_line, parse_cell_line, CellIndex, JournalConflict, JournalEntry, Line,
+    RecordOutcome,
 };
 use crate::vfs::{Vfs, VfsFile};
 
@@ -157,7 +161,9 @@ pub struct Store {
     dir: PathBuf,
     cfg: StoreConfig,
     index: Mutex<CellIndex>,
-    writer: Mutex<SegmentWriter>,
+    /// This handle's segment; `None` until the first appending `put`,
+    /// and again after a compaction.
+    writer: Mutex<Option<SegmentWriter>>,
     corrupt: AtomicUsize,
 }
 
@@ -201,26 +207,14 @@ fn segment_paths(vfs: &Vfs, dir: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(segs)
 }
 
-/// Classifies the unparseable lines of one segment exactly like
-/// `RunJournal::open`: meta records, foreign-version cells, and a torn
-/// *final* line are expected; anything else — including a
-/// checksum-failing line — counts as corruption.
-pub(crate) fn scan_segment(
-    content: &str,
-    mut on_cell: impl FnMut(&str, String, SimStats),
-    corrupt: &mut usize,
-) {
-    let lines: Vec<&str> = content.lines().collect();
-    for (idx, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Some((fp, stats)) = parse_cell_line(line) {
-            on_cell(line, fp, stats);
-            continue;
-        }
-        if !is_expected_skip(line, idx + 1 == lines.len()) {
-            *corrupt += 1;
+/// Classifies every non-blank line of one segment with
+/// [`parse_cell_line`]: the one rule set store loading, compaction and
+/// `fsck` share.
+pub(crate) fn scan_segment<'c>(content: &'c str, mut on_line: impl FnMut(&'c str, Line)) {
+    let mut lines = content.lines().peekable();
+    while let Some(line) = lines.next() {
+        if !line.trim().is_empty() {
+            on_line(line, parse_cell_line(line, lines.peek().is_none()));
         }
     }
 }
@@ -237,23 +231,15 @@ fn load_dir(vfs: &Vfs, dir: &Path) -> io::Result<(CellIndex, usize)> {
             Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
             Err(e) => return Err(e),
         };
-        scan_segment(
-            &content,
-            |_line, fp, stats| {
+        scan_segment(&content, |_, line| match line {
+            Line::Cell(fp, stats) => {
                 index.insert(&fp, stats);
-            },
-            &mut corrupt,
-        );
+            }
+            Line::Corrupt => corrupt += 1,
+            Line::Skip | Line::Torn => {}
+        });
     }
     Ok((index, corrupt))
-}
-
-/// The meta line opening every segment.
-fn meta_line() -> String {
-    format!(
-        "{{\"kind\":\"meta\",\"version\":{JOURNAL_VERSION},\"crate_version\":\"{}\"}}\n",
-        env!("CARGO_PKG_VERSION")
-    )
 }
 
 /// Creates a brand-new segment file owned exclusively by this writer.
@@ -384,18 +370,19 @@ impl Store {
     }
 
     /// Opens the store at `dir` (creating the directory if absent) with
-    /// an explicit [`StoreConfig`], loads every segment into the index,
-    /// and claims a fresh private segment for this handle's appends.
+    /// an explicit [`StoreConfig`] and loads every segment into the
+    /// index. The handle's private segment is created by its first
+    /// appending [`Store::put`], so opening an unchanged store adds no
+    /// file to it.
     pub fn open_with(dir: impl AsRef<Path>, cfg: StoreConfig) -> io::Result<Store> {
         let dir = dir.as_ref().to_path_buf();
         cfg.vfs.create_dir_all(&dir)?;
         let (index, corrupt) = load_dir(&cfg.vfs, &dir)?;
-        let writer = create_segment(&cfg.vfs, &dir)?;
         Ok(Store {
             dir,
             cfg,
             index: Mutex::new(index),
-            writer: Mutex::new(writer),
+            writer: Mutex::new(None),
             corrupt: AtomicUsize::new(corrupt),
         })
     }
@@ -405,13 +392,14 @@ impl Store {
         &self.dir
     }
 
-    /// The segment file this handle appends to.
-    pub fn segment_path(&self) -> PathBuf {
+    /// The segment file this handle appends to, once a `put` has
+    /// created it.
+    pub fn segment_path(&self) -> Option<PathBuf> {
         self.writer
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .path
-            .clone()
+            .as_ref()
+            .map(|w| w.path.clone())
     }
 
     /// Number of keys served by [`Store::get`] (conflicted keys excluded).
@@ -466,11 +454,14 @@ impl Store {
             .lookup(fingerprint)
     }
 
-    /// Stores one completed cell: classified against the index exactly
-    /// like [`RunJournal::record`](crate::journal::RunJournal::record)
-    /// (duplicate → no write, conflict → quarantined but still appended
-    /// so a reload re-detects it), then appended to this handle's private
-    /// segment, flushed, and fsynced per the configured [`SyncPolicy`].
+    /// Stores one completed cell. An entry identical to one already
+    /// indexed is a no-op ([`RecordOutcome::Duplicate`]). An entry whose
+    /// fingerprint is indexed with *different* stats quarantines the key
+    /// ([`RecordOutcome::Conflict`]): lookups stop serving it, and the
+    /// conflicting line is still appended so a reload re-detects the
+    /// conflict from the files alone. Anything appended goes to this
+    /// handle's private segment (created on the first append), flushed,
+    /// and fsynced per the configured [`SyncPolicy`].
     ///
     /// # Errors
     /// Fails on I/O errors; the index is updated regardless, so a full
@@ -485,7 +476,12 @@ impl Store {
         if outcome == RecordOutcome::Duplicate {
             return Ok(outcome);
         }
-        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slot = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let writer = match slot.take() {
+            Some(writer) => writer,
+            None => create_segment(&self.cfg.vfs, &self.dir)?,
+        };
+        let writer = slot.insert(writer);
         writer.file.write_all(line.as_bytes())?;
         writer.file.flush()?;
         writer.unsynced += 1;
@@ -506,9 +502,15 @@ impl Store {
     /// drivers should call it at checkpoint boundaries under
     /// [`SyncPolicy::Never`]/`EveryN`.
     pub fn sync(&self) -> io::Result<()> {
-        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        writer.file.sync_all()?;
-        writer.unsynced = 0;
+        if let Some(writer) = self
+            .writer
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_mut()
+        {
+            writer.file.sync_all()?;
+            writer.unsynced = 0;
+        }
         Ok(())
     }
 
@@ -529,8 +531,8 @@ impl Store {
     /// and corrupt lines but preserving *all* competing lines of every
     /// conflicted fingerprint (conflicts must survive compaction — see
     /// module docs). On success the merged segments are deleted, this
-    /// handle rotates onto a new private segment, and the index is
-    /// rebuilt from the compacted state.
+    /// handle's next `put` claims a new private segment, and the index
+    /// is rebuilt from the compacted state.
     ///
     /// Compactors serialize on `compact.lock`; a second concurrent call
     /// fails fast with `ErrorKind::AlreadyExists` unless the lock is
@@ -540,7 +542,7 @@ impl Store {
     ///
     /// # Errors
     /// Fails on I/O errors or when a live compaction holds the lock. The
-    /// publication order (scratch under a `tmp-` name → fsync → rotate
+    /// publication order (scratch under a `tmp-` name → fsync → drop
     /// the writer → rename → fsync dir → delete → fsync dir) means a
     /// crash at any point leaves the old segments, the new one, or both
     /// — never a half-written merge being served.
@@ -548,7 +550,7 @@ impl Store {
         let vfs = &self.cfg.vfs;
         let _lock = CompactLock::acquire(vfs, &self.dir, self.cfg.lock_stale_after)?;
         // Hold the writer lock across the whole merge: our own appends
-        // pause, and the rotation below swaps the handle atomically.
+        // pause until the writer below is dropped.
         let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
 
         let segs = segment_paths(vfs, &self.dir)?;
@@ -567,10 +569,8 @@ impl Store {
         };
         for seg in &segs {
             let content = vfs.read_to_string(seg)?;
-            let mut corrupt = 0usize;
-            scan_segment(
-                &content,
-                |line, fp, cell_stats| {
+            scan_segment(&content, |line, class| match class {
+                Line::Cell(fp, cell_stats) => {
                     stats.lines_in += 1;
                     let payloads = seen.entry(fp).or_default();
                     if payloads.contains(&cell_stats) {
@@ -579,10 +579,10 @@ impl Store {
                         payloads.push(cell_stats);
                         kept_lines.push(format!("{line}\n"));
                     }
-                },
-                &mut corrupt,
-            );
-            stats.corrupt_dropped += corrupt;
+                }
+                Line::Corrupt => stats.corrupt_dropped += 1,
+                Line::Skip | Line::Torn => {}
+            });
         }
         stats.lines_out = kept_lines.len();
         stats.conflicts_kept = seen.values().filter(|p| p.len() > 1).count();
@@ -601,17 +601,17 @@ impl Store {
             f.write_all(buf.as_bytes())?;
             f.sync_all()?;
         }
-        // Rotate this handle onto a fresh private segment *before* any
-        // rename or delete: from here on, no failure can leave the
-        // handle appending into a deleted file.
-        *writer = create_segment(vfs, &self.dir)?;
+        // Drop this handle's writer *before* any rename or delete: its
+        // next put claims a fresh segment, so no failure from here on can
+        // leave the handle appending into a deleted file.
+        *writer = None;
         // Claim a fresh segment name and atomically replace its meta
         // line with the merged content (same meta line first).
         let compacted = create_segment(vfs, &self.dir)?;
         vfs.rename(&tmp, &compacted.path)?;
         vfs.sync_dir(&self.dir)?;
         for seg in &segs {
-            if *seg == compacted.path || *seg == writer.path {
+            if *seg == compacted.path {
                 continue;
             }
             match vfs.remove_file(seg) {
@@ -683,10 +683,18 @@ mod tests {
             );
             assert_eq!(store.get("aa"), Some(s1.clone()));
         }
-        let store = Store::open(&dir).unwrap();
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.get("aa"), Some(s1));
-        assert_eq!(store.corrupt(), 0);
+        let files = || fs::read_dir(&dir).unwrap().count();
+        assert_eq!(files(), 1, "one writer, one segment");
+        // A handle that only reads creates nothing: resumed runs and
+        // daemon restarts leave the directory as they found it.
+        for _ in 0..15 {
+            let store = Store::open(&dir).unwrap();
+            assert_eq!(store.len(), 1);
+            assert_eq!(store.get("aa"), Some(s1.clone()));
+            assert_eq!(store.corrupt(), 0);
+            store.sync().unwrap();
+        }
+        assert_eq!(files(), 1, "15 opens of an unchanged store add no files");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -695,11 +703,12 @@ mod tests {
         let dir = fresh_dir("two-handles");
         let a = Store::open(&dir).unwrap();
         let b = Store::open(&dir).unwrap();
-        assert_ne!(a.segment_path(), b.segment_path(), "private segments");
+        assert_eq!(a.segment_path(), None, "no segment before the first put");
         let s1 = stats(1);
         let s2 = stats(2);
         a.put(&entry("aa", &s1)).unwrap();
         b.put(&entry("bb", &s2)).unwrap();
+        assert_ne!(a.segment_path(), b.segment_path(), "private segments");
         assert_eq!(a.get("bb"), None, "b's append not yet visible to a");
         a.refresh().unwrap();
         assert_eq!(a.get("bb"), Some(s2));
@@ -757,12 +766,15 @@ mod tests {
         assert_eq!(store.len(), 2);
         let vfs = Vfs::real();
         let before = segment_paths(&vfs, &dir).unwrap().len();
-        assert!(before >= 3, "three writers → three segments");
+        assert_eq!(
+            before, 2,
+            "two writers → two segments; the reader adds none"
+        );
         let cstats = store.compact().unwrap();
         assert_eq!(cstats.duplicates_dropped, 1);
         assert_eq!(cstats.lines_out, 2);
-        // One compacted segment plus the handle's fresh private segment.
-        assert_eq!(segment_paths(&vfs, &dir).unwrap().len(), 2);
+        // Just the compacted segment: the handle's next put makes its own.
+        assert_eq!(segment_paths(&vfs, &dir).unwrap().len(), 1);
         assert_eq!(store.len(), 2);
         assert_eq!(store.get("aa"), Some(s1));
         assert_eq!(store.get("bb"), Some(s2));
@@ -821,7 +833,7 @@ mod tests {
         let seg_path = {
             let store = Store::open(&dir).unwrap();
             store.put(&entry("aa", &s1)).unwrap();
-            store.segment_path()
+            store.segment_path().expect("the put created a segment")
         };
         // Simulate a crash mid-append in that segment.
         let mut f = OpenOptions::new().append(true).open(&seg_path).unwrap();
@@ -838,6 +850,7 @@ mod tests {
     fn sync_policies_fsync_as_specified() {
         // No crash here (that's tests/crash.rs); this pins the op
         // accounting: Always syncs per put, EveryN(2) every second put.
+        // The first put also creates the segment: create + meta line.
         let dir = fresh_dir("sync-policy");
         let vfs = Vfs::real();
         let cfg = StoreConfig {
@@ -848,7 +861,9 @@ mod tests {
         let store = Store::open_with(&dir, cfg).unwrap();
         let base = vfs.ops();
         store.put(&entry("aa", &stats(1))).unwrap();
-        assert_eq!(vfs.ops() - base, 2, "Always: write + fsync");
+        assert_eq!(vfs.ops() - base, 4, "Always: create + meta + write + fsync");
+        store.put(&entry("bb", &stats(2))).unwrap();
+        assert_eq!(vfs.ops() - base, 6, "Always: write + fsync");
 
         let dir2 = fresh_dir("sync-policy-n");
         let vfs2 = Vfs::real();
@@ -861,9 +876,13 @@ mod tests {
         let base2 = vfs2.ops();
         store2.put(&entry("aa", &stats(1))).unwrap();
         store2.put(&entry("bb", &stats(2))).unwrap();
-        assert_eq!(vfs2.ops() - base2, 3, "EveryN(2): write, write + fsync");
+        assert_eq!(
+            vfs2.ops() - base2,
+            5,
+            "EveryN(2): create + meta + write, write + fsync"
+        );
         store2.sync().unwrap();
-        assert_eq!(vfs2.ops() - base2, 4, "explicit sync is one fsync");
+        assert_eq!(vfs2.ops() - base2, 6, "explicit sync is one fsync");
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&dir2);
     }

@@ -41,13 +41,15 @@
 //! tripping the budget anyway.
 
 use crate::faults;
-use crate::journal::{escape, field_str, field_u64};
+use crate::journal::{model_from_slug, model_slug};
+use crate::json::{self, Object, Value};
 use crate::matrix::{catch_cell, FailurePayload, FailureStage};
 use crate::pipeline::{Model, Pipeline, PipelineError, Stage};
+use crate::service::{memory_slug, parse_memory, width};
 use hyperpred_ir::Module;
 use hyperpred_lang::lower::entry_args;
 use hyperpred_sched::MachineConfig;
-use hyperpred_sim::{simulate, CacheConfig, MemoryModel, SimConfig, SimError, SimStats};
+use hyperpred_sim::{simulate, MemoryModel, SimConfig, SimError, SimStats};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
@@ -79,7 +81,7 @@ impl TriageConfig {
 
 /// Everything `hyperpredc repro` needs to replay one cell, as stored in
 /// (and parsed back from) `cell.json`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReproCell {
     /// Workload name.
     pub workload: String,
@@ -478,45 +480,45 @@ pub fn bundle_dir(root: &Path, cell: &ReproCell) -> PathBuf {
         "{}-{}-{}",
         slug(&cell.workload, 24),
         slug(&cell.experiment, 24),
-        crate::journal::model_slug(cell.model),
+        model_slug(cell.model),
     ))
 }
 
+/// `cell.json`: one compact object and a newline.
 fn cell_json(cell: &ReproCell, payload_text: &str) -> String {
-    let args = cell
-        .args
-        .iter()
-        .map(i64::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    let memory = match cell.memory {
-        MemoryModel::Perfect => "perfect",
-        MemoryModel::Caches(_) => "caches",
-    };
-    format!(
-        "{{\n  \"version\": {BUNDLE_VERSION},\n  \"fingerprint\": \"{}\",\n  \
-         \"workload\": \"{}\",\n  \"experiment\": \"{}\",\n  \"model\": \"{}\",\n  \
-         \"args\": \"{}\",\n  \"issue\": {},\n  \"branches\": {},\n  \
-         \"memory\": \"{}\",\n  \"max_cycles\": {},\n  \"fault_injection\": {},\n  \
-         \"sabotage\": \"{}\",\n  \
-         \"stage\": \"{}\",\n  \"attempts\": {},\n  \"signature\": \"{}\",\n  \
-         \"payload\": \"{}\"\n}}\n",
-        escape(&cell.fingerprint),
-        escape(&cell.workload),
-        escape(&cell.experiment),
-        crate::journal::model_slug(cell.model),
-        args,
-        cell.issue,
-        cell.branches,
-        memory,
-        cell.max_cycles,
-        cell.fault_injection,
-        cell.sabotage.map_or("none", Stage::name),
-        cell.stage,
-        cell.attempts,
-        escape(&cell.signature),
-        escape(payload_text),
-    )
+    let args: Vec<String> = cell.args.iter().map(i64::to_string).collect();
+    Object::default()
+        .u64("version", BUNDLE_VERSION)
+        .str("fingerprint", &cell.fingerprint)
+        .str("workload", &cell.workload)
+        .str("experiment", &cell.experiment)
+        .str("model", model_slug(cell.model))
+        .str("args", &args.join(","))
+        .u64("issue", cell.issue.into())
+        .u64("branches", cell.branches.into())
+        .str("memory", memory_slug(&cell.memory))
+        .u64("max_cycles", cell.max_cycles)
+        .bool("fault_injection", cell.fault_injection)
+        .str("sabotage", cell.sabotage.map_or("none", Stage::name))
+        .str("stage", &cell.stage.to_string())
+        .u64("attempts", cell.attempts.into())
+        .str("signature", &cell.signature)
+        .str("payload", payload_text)
+        .finish()
+        + "\n"
+}
+
+/// `minimize.json`: what the minimizer shrank, from how much to how
+/// little, and the signature it preserved.
+fn minimize_json(kind: &str, unit: &str, sizes: (usize, usize), signature: &str) -> String {
+    Object::default()
+        .u64("version", BUNDLE_VERSION)
+        .str("kind", kind)
+        .u64(&format!("original_{unit}"), sizes.0 as u64)
+        .u64(&format!("minimized_{unit}"), sizes.1 as u64)
+        .str("signature", signature)
+        .finish()
+        + "\n"
 }
 
 fn parse_stage(s: &str) -> FailureStage {
@@ -527,50 +529,47 @@ fn parse_stage(s: &str) -> FailureStage {
     }
 }
 
-fn parse_model(s: &str) -> Option<Model> {
-    match s {
-        "superblock" => Some(Model::Superblock),
-        "condmove" => Some(Model::CondMove),
-        "fullpred" => Some(Model::FullPred),
-        _ => None, // "baseline"
-    }
-}
-
-fn parse_cell_json(json: &str) -> Result<ReproCell, String> {
-    let version = field_u64(json, "version").ok_or("cell.json: missing version")?;
+/// Reads `cell.json`; errors name the field at fault.
+fn parse_cell_json(text: &str) -> Result<ReproCell, String> {
+    let v = json::parse(text).map_err(|e| e.to_string())?;
+    let version = v
+        .field("version", Value::num::<u64>)?
+        .ok_or("missing field `version`")?;
     if version != BUNDLE_VERSION {
         return Err(format!(
-            "cell.json: bundle version {version} != supported {BUNDLE_VERSION}"
+            "bundle version {version} != supported {BUNDLE_VERSION}"
         ));
     }
-    let need = |key: &str| field_str(json, key).ok_or(format!("cell.json: missing {key}"));
-    let args_text = need("args")?;
-    let args = args_text
+    let need = |key: &str| {
+        v.field(key, Value::as_str)?
+            .ok_or_else(|| format!("missing field `{key}`"))
+    };
+    let args = need("args")?
         .split(',')
         .filter(|s| !s.is_empty())
-        .map(|s| s.parse().map_err(|_| format!("cell.json: bad arg `{s}`")))
+        .map(|s| s.parse().map_err(|_| format!("bad arg `{s}`")))
         .collect::<Result<Vec<i64>, String>>()?;
-    let memory = match need("memory")?.as_str() {
-        "caches" => MemoryModel::Caches(CacheConfig::default()),
-        _ => MemoryModel::Perfect,
-    };
     Ok(ReproCell {
-        workload: need("workload")?,
+        workload: need("workload")?.to_string(),
         args,
-        experiment: need("experiment")?,
-        model: parse_model(&need("model")?),
-        issue: field_u64(json, "issue").ok_or("cell.json: missing issue")? as u32,
-        branches: field_u64(json, "branches").ok_or("cell.json: missing branches")? as u32,
-        memory,
-        max_cycles: field_u64(json, "max_cycles").ok_or("cell.json: missing max_cycles")?,
-        fault_injection: json.contains("\"fault_injection\": true"),
+        experiment: need("experiment")?.to_string(),
+        model: model_from_slug(need("model")?),
+        issue: width(&v, "issue")?,
+        branches: width(&v, "branches")?,
+        memory: parse_memory(need("memory")?).unwrap_or(MemoryModel::Perfect),
+        max_cycles: v
+            .field("max_cycles", Value::num)?
+            .ok_or("missing field `max_cycles`")?,
+        fault_injection: v.field("fault_injection", Value::as_bool)?.unwrap_or(false),
         // "none", a garbled value, and a missing key (pre-soak bundles)
         // all read back as no sabotage.
-        sabotage: field_str(json, "sabotage").and_then(|s| s.parse().ok()),
-        stage: parse_stage(&need("stage")?),
-        signature: need("signature")?,
-        fingerprint: need("fingerprint")?,
-        attempts: field_u64(json, "attempts").unwrap_or(1) as u32,
+        sabotage: v
+            .field("sabotage", Value::as_str)?
+            .and_then(|s| s.parse().ok()),
+        stage: parse_stage(need("stage")?),
+        signature: need("signature")?.to_string(),
+        fingerprint: need("fingerprint")?.to_string(),
+        attempts: v.field("attempts", Value::num)?.unwrap_or(1),
     })
 }
 
@@ -602,13 +601,11 @@ pub fn write_bundle(
                 write_file(&dir.join("minimized.txt"), &format!("{}", min.module))?;
                 write_file(
                     &dir.join("minimize.json"),
-                    &format!(
-                        "{{\"version\": {BUNDLE_VERSION}, \"kind\": \"module\", \
-                         \"original_insts\": {}, \"minimized_insts\": {}, \
-                         \"signature\": \"{}\"}}\n",
-                        min.original_insts,
-                        min.minimized_insts,
-                        escape(&min.signature)
+                    &minimize_json(
+                        "module",
+                        "insts",
+                        (min.original_insts, min.minimized_insts),
+                        &min.signature,
                     ),
                 )?;
             }
@@ -621,13 +618,11 @@ pub fn write_bundle(
             if module.is_none() {
                 write_file(
                     &dir.join("minimize.json"),
-                    &format!(
-                        "{{\"version\": {BUNDLE_VERSION}, \"kind\": \"source\", \
-                         \"original_lines\": {}, \"minimized_lines\": {}, \
-                         \"signature\": \"{}\"}}\n",
-                        min.original_lines,
-                        min.minimized_lines,
-                        escape(&min.signature)
+                    &minimize_json(
+                        "source",
+                        "lines",
+                        (min.original_lines, min.minimized_lines),
+                        &min.signature,
                     ),
                 )?;
             }
@@ -650,7 +645,7 @@ pub fn load_bundle(dir: impl AsRef<Path>) -> Result<Bundle, String> {
     let dir = dir.as_ref().to_path_buf();
     let json = std::fs::read_to_string(dir.join("cell.json"))
         .map_err(|e| format!("{}: cannot read cell.json: {e}", dir.display()))?;
-    let cell = parse_cell_json(&json)?;
+    let cell = parse_cell_json(&json).map_err(|e| format!("cell.json: {e}"))?;
     let source = std::fs::read_to_string(dir.join("workload.c"))
         .map_err(|e| format!("{}: cannot read workload.c: {e}", dir.display()))?;
     Ok(Bundle { dir, cell, source })
@@ -719,11 +714,63 @@ mod tests {
         assert_eq!(back.sabotage, c.sabotage);
         assert_eq!(back.stage, c.stage);
         // Pre-soak bundles have no sabotage key at all.
-        let legacy = json.replace("  \"sabotage\": \"promote\",\n", "");
+        let legacy = json.replace("\"sabotage\":\"promote\",", "");
+        assert_ne!(legacy, json);
         assert_eq!(parse_cell_json(&legacy).expect("parses").sabotage, None);
         assert_eq!(back.signature, c.signature);
         assert_eq!(back.fingerprint, c.fingerprint);
         assert_eq!(back.attempts, 2);
+        // Fields are read as fields: spacing does not matter, and an
+        // out-of-range width is an error naming it, not a truncation.
+        assert!(json.contains("\"fault_injection\":true"), "{json}");
+        assert!(parse_cell_json(&json).expect("compact").fault_injection);
+        let wide = json.replace("\"issue\":8", "\"issue\":4294967304");
+        assert_eq!(
+            parse_cell_json(&wide).unwrap_err(),
+            "field `issue` out of range: 4294967304"
+        );
+        let mistyped = json.replace("\"fault_injection\":true", "\"fault_injection\":1");
+        assert_eq!(
+            parse_cell_json(&mistyped).unwrap_err(),
+            "field `fault_injection` has the wrong type"
+        );
+    }
+
+    /// A `cell.json` exactly as the pretty-printing writer before
+    /// `json` wrote it.
+    const PINNED_CELL_JSON: &str = "{\n  \"version\": 1,\n  \"fingerprint\": \"abc123\",\n  \
+        \"workload\": \"inject-panic\",\n  \
+        \"experiment\": \"Figure 8: 8-issue, 1-branch, perfect caches\",\n  \
+        \"model\": \"fullpred\",\n  \"args\": \"3,-4\",\n  \"issue\": 8,\n  \
+        \"branches\": 1,\n  \"memory\": \"perfect\",\n  \"max_cycles\": 2000000,\n  \
+        \"fault_injection\": true,\n  \"sabotage\": \"promote\",\n  \"stage\": \"compile\",\n  \
+        \"attempts\": 2,\n  \"signature\": \"panic: injected compile-stage panic\",\n  \
+        \"payload\": \"panic: full text with \\\"quotes\\\"\"\n}\n";
+
+    #[test]
+    fn pinned_cell_json_loads_to_the_same_cell() {
+        let c = cell("panic: injected compile-stage panic");
+        let back = parse_cell_json(PINNED_CELL_JSON).expect("parses");
+        assert_eq!(back, c);
+        assert_eq!(
+            parse_cell_json(&cell_json(&c, "panic: full text with \"quotes\"")),
+            Ok(c)
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 512, ..proptest::ProptestConfig::default() })]
+
+        #[test]
+        fn arbitrary_cell_json_is_a_typed_error(seed in proptest::prelude::any::<u64>()) {
+            let bytes = crate::json::tests::jsonish_bytes(seed, 400);
+            let _ = parse_cell_json(&String::from_utf8_lossy(&bytes));
+            // One arbitrary byte spliced into a real bundle.
+            let mut real = cell_json(&cell("panic: x"), "payload").into_bytes();
+            let at = (seed as usize / 3) % real.len();
+            real[at] = bytes.first().copied().unwrap_or(b'{');
+            let _ = parse_cell_json(&String::from_utf8_lossy(&real));
+        }
     }
 
     #[test]

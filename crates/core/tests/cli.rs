@@ -1,6 +1,7 @@
-//! `hyperpredc`'s shared option parser, driven through the binary: a
-//! zero issue width or branch-slot count is a usage error (exit 2), never
-//! the `MachineConfig::new` assert (a panic, exit 101).
+//! `hyperpredc`'s shared option parser and target resolver, driven
+//! through the binary: a zero issue width or branch-slot count is a usage
+//! error (exit 2), never the `MachineConfig::new` assert (a panic, exit
+//! 101), and `run`/`sim`/`dump` take workload names like `lint`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -41,4 +42,22 @@ fn zero_machine_widths_are_usage_errors() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+#[test]
+fn sim_and_dump_take_workload_names() {
+    let out = hyperpredc(&["sim", "wc", "--model", "all", "--scale", "test"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let model_lines = stdout.lines().filter(|l| l.contains(" @ 8-issue/1-br: "));
+    assert_eq!(model_lines.count(), 3, "{stdout}");
+
+    let out = hyperpredc(&["dump", "wc", "--model", "cmov"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("scheduled for 8-issue"));
 }

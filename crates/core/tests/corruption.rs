@@ -1,11 +1,11 @@
-//! Property fuzz over damaged stores and run journals: random byte
-//! corruption and truncation injected into segment and journal files.
-//! The readers must never panic, must count corrupt lines exactly, must
+//! Property fuzz over damaged stores (run journals are stores too):
+//! random byte corruption and truncation injected into segment files.
+//! The reader must never panic, must count corrupt lines exactly, must
 //! keep serving every undamaged record bit-identically — and must never
 //! serve a damaged one (the checksum suffix catches what JSON-shape
 //! validation alone cannot).
 
-use hyperpred::{JournalEntry, RunJournal, Store};
+use hyperpred::{JournalEntry, Store};
 use hyperpred_sim::SimStats;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -60,25 +60,10 @@ fn build_segment(name: &str) -> (PathBuf, PathBuf, String) {
             store.put(&entry(&fp, &stats_for(i))).expect("put");
         }
         store.sync().expect("sync");
-        store.segment_path()
+        store.segment_path().expect("the puts created a segment")
     };
     let content = std::fs::read_to_string(&seg).expect("read segment");
     (dir, seg, content)
-}
-
-/// Writes a fresh journal with [`CELLS`] records; returns (path, content).
-/// Same layout: meta line first, cell `i` on line `i + 1`.
-fn build_journal(name: &str) -> (PathBuf, String) {
-    let path = tmpdir(name).join("journal.jsonl");
-    {
-        let journal = RunJournal::open(&path).expect("open journal");
-        for i in 0..CELLS {
-            let fp = fp_for(i);
-            journal.record(&entry(&fp, &stats_for(i))).expect("record");
-        }
-    }
-    let content = std::fs::read_to_string(&path).expect("read journal");
-    (path, content)
 }
 
 /// Flips one ASCII digit of cell line `victim` to a different digit,
@@ -184,59 +169,6 @@ proptest! {
             let end = ends[i as usize + 1];
             if !(start..end).contains(&pos) && pos != start.wrapping_sub(1) {
                 prop_assert_eq!(store.get(&fp_for(i)), Some(stats_for(i)));
-            }
-        }
-    }
-
-    #[test]
-    fn journal_digit_flip_is_caught_exactly(
-        victim in 0u64..CELLS,
-        pos_seed in any::<u64>(),
-        delta in 1u64..10,
-    ) {
-        let (path, content) = build_journal("fuzz-jnl-flip");
-        std::fs::write(&path, flip_digit(&content, victim, pos_seed, delta))
-            .expect("write damage");
-
-        let journal = RunJournal::open(&path).expect("open never fails on damage");
-        prop_assert_eq!(journal.corrupt(), 1);
-        prop_assert!(journal.lookup(&fp_for(victim)).is_none());
-        for i in (0..CELLS).filter(|&i| i != victim) {
-            prop_assert_eq!(journal.lookup(&fp_for(i)), Some(stats_for(i)));
-        }
-    }
-
-    #[test]
-    fn journal_truncation_loses_only_the_tail(cut_seed in any::<u64>()) {
-        let (path, content) = build_journal("fuzz-jnl-trunc");
-        let cut = cut_seed as usize % (content.len() + 1);
-        std::fs::write(&path, &content.as_bytes()[..cut]).expect("truncate");
-
-        let ends = line_ends(&content);
-        let journal = RunJournal::open(&path).expect("open never fails on truncation");
-        prop_assert_eq!(journal.corrupt(), 0);
-        for i in 0..CELLS {
-            let intact = ends[i as usize + 1] <= cut;
-            prop_assert_eq!(journal.lookup(&fp_for(i)), intact.then(|| stats_for(i)));
-        }
-    }
-
-    #[test]
-    fn journal_random_damage_never_panics_or_lies(
-        pos_seed in any::<u64>(),
-        value in any::<u8>(),
-    ) {
-        let (path, content) = build_journal("fuzz-jnl-byte");
-        let pos = pos_seed as usize % content.len();
-        let mut bytes = content.clone().into_bytes();
-        bytes[pos] = value;
-        std::fs::write(&path, &bytes).expect("write damage");
-
-        let journal = RunJournal::open(&path).expect("open never fails on damage");
-        prop_assert!(journal.len() as u64 <= CELLS);
-        for i in 0..CELLS {
-            if let Some(served) = journal.lookup(&fp_for(i)) {
-                prop_assert_eq!(served, stats_for(i));
             }
         }
     }

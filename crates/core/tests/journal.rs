@@ -1,12 +1,10 @@
 //! Crash-safe resume suite: a matrix run killed mid-flight and resumed
-//! from its journal — at a different thread count — must produce stats
-//! bit-identical to an uninterrupted serial run, and a journal written
-//! under a different configuration must be ignored, never silently
-//! reused.
+//! from its journal store — at a different thread count — must produce
+//! stats bit-identical to an uninterrupted serial run, and a journal
+//! written under a different configuration must be ignored, never
+//! silently reused.
 
-use hyperpred::{
-    run_matrix, Experiment, FailurePolicy, MatrixConfig, MatrixRun, Pipeline, RunJournal,
-};
+use hyperpred::{run_matrix, Experiment, FailurePolicy, MatrixConfig, MatrixRun, Pipeline, Store};
 use hyperpred_workloads::Workload;
 use std::path::PathBuf;
 
@@ -64,7 +62,7 @@ fn assert_bit_identical(got: &MatrixRun, want: &MatrixRun) {
 #[test]
 fn interrupted_run_resumes_bit_identically_across_thread_counts() {
     let dir = tmpdir("journal-resume");
-    let path = dir.join("run.jsonl");
+    let path = dir.join("journal");
     let exps = [Experiment::fig8(), Experiment::fig10()];
     let wls = workloads();
     let pipe = Pipeline::default();
@@ -83,7 +81,7 @@ fn interrupted_run_resumes_bit_identically_across_thread_counts() {
 
     // Phase 1: journal at one thread, killed after 5 claimed cells.
     let first = {
-        let journal = RunJournal::open(&path).expect("open journal");
+        let journal = Store::open(&path).expect("open journal");
         let run = run_matrix(
             &exps,
             &wls,
@@ -109,7 +107,7 @@ fn interrupted_run_resumes_bit_identically_across_thread_counts() {
     // Phase 2: resume the same journal at 8 threads; journaled cells are
     // copied back, the rest run fresh, and the merged result is
     // bit-identical to the uninterrupted serial reference.
-    let journal = RunJournal::open(&path).expect("reopen journal");
+    let journal = Store::open(&path).expect("reopen journal");
     let resumed = run_matrix(
         &exps,
         &wls,
@@ -131,7 +129,7 @@ fn interrupted_run_resumes_bit_identically_across_thread_counts() {
 
     // Phase 3: a third run finds every cell journaled and simulates
     // nothing at all.
-    let journal = RunJournal::open(&path).expect("reopen journal again");
+    let journal = Store::open(&path).expect("reopen journal again");
     let total_cells = wls.len() * (1 + 3 * exps.len());
     assert_eq!(journal.len(), total_cells);
     let replayed = run_matrix(
@@ -157,13 +155,13 @@ fn interrupted_run_resumes_bit_identically_across_thread_counts() {
 #[test]
 fn changed_workload_invalidates_stale_journal_entries() {
     let dir = tmpdir("journal-stale");
-    let path = dir.join("run.jsonl");
+    let path = dir.join("journal");
     let exps = [Experiment::fig8()];
     let pipe = Pipeline::default();
 
     // Journal a complete run of the original workloads.
     {
-        let journal = RunJournal::open(&path).expect("open journal");
+        let journal = Store::open(&path).expect("open journal");
         let run = run_matrix(
             &exps,
             &workloads(),
@@ -194,7 +192,7 @@ fn changed_workload_invalidates_stale_journal_entries() {
         },
     );
 
-    let journal = RunJournal::open(&path).expect("reopen journal");
+    let journal = Store::open(&path).expect("reopen journal");
     let run = run_matrix(
         &exps,
         &changed,

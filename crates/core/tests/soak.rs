@@ -18,15 +18,19 @@ fn tmpdir(name: &str) -> PathBuf {
     dir
 }
 
-/// The journal's cell records (everything but the meta line), sorted —
-/// the order cells land in depends on interleaving, their bytes do not.
-fn cell_records(path: &PathBuf) -> Vec<String> {
-    let mut lines: Vec<String> = std::fs::read_to_string(path)
-        .expect("journal readable")
-        .lines()
-        .filter(|l| !l.contains("\"kind\":\"meta\""))
-        .map(str::to_string)
-        .collect();
+/// The cell records (everything but meta lines) of every segment of a
+/// journal store, sorted — the order cells land in depends on
+/// interleaving and on which run wrote them, their bytes do not.
+fn cell_records(dir: &PathBuf) -> Vec<String> {
+    let mut lines = Vec::new();
+    for seg in std::fs::read_dir(dir).expect("journal readable") {
+        let text = std::fs::read_to_string(seg.expect("segment").path()).expect("segment readable");
+        lines.extend(
+            text.lines()
+                .filter(|l| !l.contains("\"kind\":\"meta\""))
+                .map(str::to_string),
+        );
+    }
     lines.sort();
     lines
 }
@@ -34,7 +38,7 @@ fn cell_records(path: &PathBuf) -> Vec<String> {
 #[test]
 fn soak_runs_clean_and_resumes_bit_identically() {
     let dir = tmpdir("soak-resume");
-    let journal_a = dir.join("a.jsonl");
+    let journal_a = dir.join("journal-a");
     let mut cfg = SoakConfig::new(7, 6);
     cfg.journal = Some(journal_a.clone());
 
@@ -57,9 +61,10 @@ fn soak_runs_clean_and_resumes_bit_identically() {
     assert_eq!(second.skipped, 3, "journaled programs must be skipped");
     assert_eq!(second.ran, 3);
 
-    // The interrupted+resumed journal is bit-identical (as a set of cell
-    // records) to one from an uninterrupted scratch run.
-    let journal_b = dir.join("b.jsonl");
+    // The interrupted+resumed journal (two segments, one per run) is
+    // bit-identical as a set of cell records to one from an
+    // uninterrupted scratch run.
+    let journal_b = dir.join("journal-b");
     let mut scratch_cfg = cfg.clone();
     scratch_cfg.journal = Some(journal_b.clone());
     let scratch = run_soak(&scratch_cfg).expect("scratch soak runs");

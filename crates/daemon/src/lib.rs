@@ -48,6 +48,7 @@
 //! recoverable with `hyperpredc fsck`.
 
 use hyperpred::journal::JournalEntry;
+use hyperpred::json::Object;
 use hyperpred::service::{
     batch_response_to_json, parse_batch, parse_request, read_http_request, response_to_json,
     write_http_response, CellResponse, CellStatus,
@@ -504,7 +505,7 @@ fn handle_connection(mut stream: TcpStream, inner: &Arc<Inner>) {
             } else {
                 400
             };
-            let body = format!("{{\"error\":\"{}\"}}", e.to_string().replace('"', "'"));
+            let body = Object::default().str("error", &e.to_string()).finish();
             let _ = write_http_response(&mut stream, status, &body);
             return;
         }
@@ -526,7 +527,7 @@ fn dispatch(inner: &Arc<Inner>, method: &str, path: &str, body: &str) -> (u16, S
         ("GET", "/v1/stats") => (200, stats_json(inner)),
         ("POST", "/v1/cell") => match parse_request(body) {
             Ok(req) => (200, response_to_json(&serve_cell(inner, req))),
-            Err(e) => (400, format!("{{\"error\":\"{}\"}}", e.replace('"', "'"))),
+            Err(e) => (400, Object::default().str("error", &e).finish()),
         },
         ("POST", "/v1/cells") => match parse_batch(body) {
             Ok(reqs) => {
@@ -534,7 +535,7 @@ fn dispatch(inner: &Arc<Inner>, method: &str, path: &str, body: &str) -> (u16, S
                     reqs.into_iter().map(|r| serve_cell(inner, r)).collect();
                 (200, batch_response_to_json(&results))
             }
-            Err(e) => (400, format!("{{\"error\":\"{}\"}}", e.replace('"', "'"))),
+            Err(e) => (400, Object::default().str("error", &e).finish()),
         },
         _ => (404, "{\"error\":\"no such endpoint\"}".to_string()),
     }
@@ -632,23 +633,21 @@ fn compute_cell(inner: &Inner, req: &CellRequest, fp: String) -> CellResponse {
 /// Renders `GET /v1/stats`.
 fn stats_json(inner: &Inner) -> String {
     let (active, waiting) = inner.pool.depth();
-    format!(
-        "{{\"cells\":{},\"store_conflicts\":{},\"corrupt\":{},\"hits\":{},\"computed\":{},\
-         \"failed\":{},\"rejected\":{},\"conflicts\":{},\"busy\":{},\"active\":{},\"waiting\":{},\
-         \"draining\":{}}}",
-        inner.store.len(),
-        inner.store.conflicts(),
-        inner.store.corrupt(),
-        inner.stats.hits.load(Ordering::Relaxed),
-        inner.stats.computed.load(Ordering::Relaxed),
-        inner.stats.failed.load(Ordering::Relaxed),
-        inner.stats.rejected.load(Ordering::Relaxed),
-        inner.stats.conflicts.load(Ordering::Relaxed),
-        inner.stats.busy.load(Ordering::Relaxed),
-        active,
-        waiting,
-        inner.shutdown.load(Ordering::Acquire),
-    )
+    let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+    Object::default()
+        .u64("cells", inner.store.len() as u64)
+        .u64("store_conflicts", inner.store.conflicts() as u64)
+        .u64("corrupt", inner.store.corrupt() as u64)
+        .u64("hits", count(&inner.stats.hits))
+        .u64("computed", count(&inner.stats.computed))
+        .u64("failed", count(&inner.stats.failed))
+        .u64("rejected", count(&inner.stats.rejected))
+        .u64("conflicts", count(&inner.stats.conflicts))
+        .u64("busy", count(&inner.stats.busy))
+        .u64("active", active as u64)
+        .u64("waiting", waiting as u64)
+        .bool("draining", inner.shutdown.load(Ordering::Acquire))
+        .finish()
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@
 //! a worker abort), the bounded queue rejects with a typed answer, and
 //! shutdown drains cleanly.
 
+use hyperpred::json::{self, Value};
 use hyperpred::service::{
-    self, get_u64, http_call, http_post, parse_batch_response, CellStatus, LoadConfig,
+    self, http_call, http_post, parse_batch_response, CellStatus, LoadConfig,
 };
 use hyperpred::{CellRequest, Client, ClientConfig, Model};
 use hyperpred_daemon::{Daemon, DaemonConfig};
@@ -23,6 +24,20 @@ fn tmpdir(name: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create test dir");
     dir
+}
+
+/// The unsigned counter `key` of a `/v1/stats` body.
+fn counter(stats: &str, key: &str) -> Option<u64> {
+    json::parse(stats).ok()?.get(key)?.num()
+}
+
+/// The message of a `400` body, which must be valid JSON.
+fn error_of(body: &str) -> String {
+    let v = json::parse(body).unwrap_or_else(|e| panic!("400 body is not JSON ({e}): {body:?}"));
+    v.get("error")
+        .and_then(Value::as_str)
+        .unwrap_or_else(|| panic!("400 body has no error: {body:?}"))
+        .to_string()
 }
 
 fn start_daemon(store: &str, max_active: usize, max_waiting: usize) -> Daemon {
@@ -80,9 +95,9 @@ fn repeat_batch_is_served_from_cache_bit_identically() {
     // The stats endpoint agrees with the client-side tallies.
     let (status, body) = http_call(&cfg.addr, "GET", "/v1/stats", "").expect("stats");
     assert_eq!(status, 200);
-    assert_eq!(get_u64(&body, "hits"), Some(30));
-    assert_eq!(get_u64(&body, "computed"), Some(cold.computed as u64));
-    assert_eq!(get_u64(&body, "store_conflicts"), Some(0));
+    assert_eq!(counter(&body, "hits"), Some(30));
+    assert_eq!(counter(&body, "computed"), Some(cold.computed as u64));
+    assert_eq!(counter(&body, "store_conflicts"), Some(0));
 
     // Graceful shutdown drains and joins cleanly.
     daemon.request_shutdown();
@@ -97,6 +112,7 @@ fn malformed_requests_get_typed_errors_not_aborts() {
     // Unparseable body: typed 400, not a dropped connection.
     let (status, body) = http_post(&addr, "/v1/cell", "this is not json").expect("post garbage");
     assert_eq!(status, 400, "{body}");
+    assert!(error_of(&body).contains("byte 0"), "{body}");
 
     // Parseable but invalid: a zero issue width must come back as a
     // structured per-cell failure, never a worker abort.
@@ -139,7 +155,28 @@ fn malformed_requests_get_typed_errors_not_aborts() {
         .replace("\"branches\":1,", "\"branches\":4294967297,");
     let (status, body) = http_post(&addr, "/v1/cell", &wide).expect("post wide widths");
     assert_eq!(status, 400, "{body}");
-    assert!(body.contains("`issue` out of range"), "{body}");
+    assert!(error_of(&body).contains("`issue` out of range"), "{body}");
+
+    // A field present with the wrong type is a 400 naming it, never a
+    // silent default; an unknown slug comes back intact in valid JSON.
+    let good = service::request_to_json(&req);
+    for (bad, names) in [
+        (good.replace("\"args\":[]", "\"args\":[1,\"x\"]"), "`args`"),
+        (
+            good.replace("\"max_cycles\":10000000000", "\"max_cycles\":\"5\""),
+            "`max_cycles`",
+        ),
+        (
+            good.replace("\"fullpred\"", "\"x\\\\y\\nz\""),
+            "unknown model `x\\y\nz`",
+        ),
+    ] {
+        assert_ne!(bad, good, "the case must change the request");
+        let (status, body) = http_post(&addr, "/v1/cell", &bad).expect("post bad field");
+        assert_eq!(status, 400, "{bad}: {body}");
+        let error = error_of(&body);
+        assert!(error.contains(names), "{bad}: {error}");
+    }
 
     // Unknown endpoints 404; the daemon still answers afterwards.
     let (status, _) = http_post(&addr, "/v1/nope", "{}").expect("post unknown path");
@@ -147,6 +184,42 @@ fn malformed_requests_get_typed_errors_not_aborts() {
     let (status, _) = http_call(&addr, "GET", "/healthz", "").expect("healthz");
     assert_eq!(status, 200);
 
+    daemon.request_shutdown();
+    daemon.wait();
+}
+
+#[test]
+fn standard_json_escapes_key_the_decoded_source() {
+    let daemon = start_daemon("daemon-escapes", 0, 8);
+    let addr = daemon.addr().to_string();
+    // What a Python or JS client sends for a tab, a CRLF and a `7`.
+    let escaped = "{\"model\":\"fullpred\",\"issue\":8,\"branches\":1,\
+                   \"source\":\"int main() {\\n\\treturn \\u0037;\\r\\n} \"}";
+    let decoded = CellRequest {
+        name: String::new(),
+        source: "int main() {\n\treturn 7;\r\n} ".to_string(),
+        args: vec![],
+        model: Model::FullPred,
+        issue: 8,
+        branches: 1,
+        memory: MemoryModel::Perfect,
+        max_cycles: DEFAULT_CYCLE_LIMIT,
+    };
+    assert_eq!(service::parse_request(escaped), Ok(decoded.clone()));
+    let (status, body) = http_post(&addr, "/v1/cell", escaped).expect("post escaped");
+    assert_eq!(status, 200, "{body}");
+    let first = service::parse_response(&body).expect("typed response");
+    let (status, body) =
+        http_post(&addr, "/v1/cell", &service::request_to_json(&decoded)).expect("post decoded");
+    assert_eq!(status, 200, "{body}");
+    let second = service::parse_response(&body).expect("typed response");
+    assert_eq!(
+        first.fingerprint, second.fingerprint,
+        "one program, one key"
+    );
+    assert_eq!(first.stats.as_ref().map(|s| s.ret), Some(7), "{first:?}");
+    assert_eq!(second.status, CellStatus::Hit);
+    assert_eq!(first.stats, second.stats);
     daemon.request_shutdown();
     daemon.wait();
 }
@@ -440,7 +513,7 @@ fn cell_computing_at_shutdown_still_answers_and_is_stored() {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let (_, stats) = http_call(&addr, "GET", "/v1/stats", "").expect("stats");
-        if get_u64(&stats, "active") == Some(1) {
+        if counter(&stats, "active") == Some(1) {
             break;
         }
         assert!(Instant::now() < deadline, "the cell never started: {stats}");
