@@ -1,10 +1,12 @@
 //! The paper's experiment matrix: Figures 8–11 and Tables 2–3.
 
+use crate::journal::{fnv64, model_slug};
 use crate::pipeline::{evaluate, speedup, Model, Pipeline, PipelineError};
 use crate::report::{format_table, human_count, Row};
 use hyperpred_sched::MachineConfig;
 use hyperpred_sim::{CacheConfig, MemoryModel, SimConfig, SimStats, DEFAULT_CYCLE_LIMIT};
 use hyperpred_workloads::{Scale, Workload};
+use std::borrow::Cow;
 
 /// Results of one benchmark under the three models plus the scalar
 /// baseline.
@@ -93,11 +95,77 @@ impl Experiment {
         }
     }
 
-    pub(crate) fn machine(&self) -> MachineConfig {
+    /// The figure's cell for `model`.
+    pub fn cell(&self, model: Model) -> CellSpec {
+        CellSpec {
+            experiment: Cow::Borrowed(self.title),
+            model: Some(model),
+            issue: self.issue,
+            branches: self.branches,
+            memory: self.memory,
+            max_cycles: self.max_cycles,
+        }
+    }
+}
+
+/// Everything but the program and the pipeline that determines one
+/// cell's stats: the experiment it is filed under, its model, machine,
+/// memory model and cycle budget. The matrix engine, the daemon's
+/// requests, soak, triage replay and `hyperpredc sim` all describe their
+/// cells with one, so a cell's machine, simulator config and store key
+/// are derived in this one place.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellSpec {
+    /// Figure title, service or soak namespace, or `"baseline"` for the
+    /// shared denominator.
+    pub experiment: Cow<'static, str>,
+    /// Model simulated (`None` for the baseline, which compiles the
+    /// superblock model).
+    pub model: Option<Model>,
+    /// Issue width of the simulated machine.
+    pub issue: u32,
+    /// Branch slots per cycle.
+    pub branches: u32,
+    /// Memory model (cache geometry is the default one; no cell uses
+    /// another).
+    pub memory: MemoryModel,
+    /// Watchdog: the cycle budget the cell is simulated under.
+    pub max_cycles: u64,
+}
+
+impl CellSpec {
+    /// The paper's speedup denominator: the superblock model on a
+    /// 1-issue machine with perfect memory, whatever machine and memory
+    /// the evaluated cells use, so every figure divides by the same
+    /// number.
+    pub fn baseline(max_cycles: u64) -> CellSpec {
+        CellSpec {
+            experiment: Cow::Borrowed("baseline"),
+            model: None,
+            issue: 1,
+            branches: 1,
+            memory: MemoryModel::Perfect,
+            max_cycles,
+        }
+    }
+
+    /// The model the cell compiles: its own, or the superblock model for
+    /// the baseline.
+    pub fn compiled_model(&self) -> Model {
+        self.model.unwrap_or(Model::Superblock)
+    }
+
+    /// The machine the cell is scheduled for and simulated on.
+    ///
+    /// # Panics
+    /// On a zero width, like [`MachineConfig::new`].
+    pub fn machine(&self) -> MachineConfig {
         MachineConfig::new(self.issue, self.branches)
     }
 
-    pub(crate) fn sim(&self) -> SimConfig {
+    /// The cell's memory model and cycle budget; every other simulator
+    /// knob (the predictor) is the default all cells share.
+    pub fn sim(&self) -> SimConfig {
         SimConfig {
             memory: self.memory,
             max_cycles: self.max_cycles,
@@ -105,14 +173,29 @@ impl Experiment {
         }
     }
 
-    /// Simulation config for the paper's speedup denominator: the 1-issue
-    /// superblock baseline always runs with perfect memory, whatever the
-    /// evaluated machine uses, so every figure divides by the same number.
-    pub(crate) fn baseline_sim(&self) -> SimConfig {
-        SimConfig {
-            memory: MemoryModel::Perfect,
-            ..self.sim()
-        }
+    /// The cell's content address: an FNV-1a hash over a canonical string
+    /// of everything that determines its stats (crate version, the full
+    /// pipeline config, the program's name, source hash and args, and
+    /// this spec). Figures journals, daemon stores and soak journals are
+    /// keyed by it; see the [`crate::journal`] docs for why the key is
+    /// deliberately conservative. Existing journals and stores hold these
+    /// keys, so the canonical string's format must not change.
+    pub fn key(&self, pipe: &Pipeline, name: &str, source: &str, args: &[i64]) -> String {
+        let canonical = format!(
+            "v{}|pipe{:016x}|{}|src{:016x}|args{:?}|{}|{}|issue{}|br{}|{:?}|cycles{}",
+            env!("CARGO_PKG_VERSION"),
+            fnv64(format!("{pipe:?}").as_bytes()),
+            name,
+            fnv64(source.as_bytes()),
+            args,
+            self.experiment,
+            model_slug(self.model),
+            self.issue,
+            self.branches,
+            self.memory,
+            self.max_cycles,
+        );
+        format!("{:016x}", fnv64(canonical.as_bytes()))
     }
 }
 
@@ -125,19 +208,20 @@ pub fn run_workload(
     exp: &Experiment,
     pipe: &Pipeline,
 ) -> Result<BenchResult, PipelineError> {
-    // The baseline always uses perfect memory and 1-issue (the paper's
-    // denominator is fixed across figures).
-    let base = evaluate(
-        &w.source,
-        &w.args,
-        Model::Superblock,
-        MachineConfig::one_issue(),
-        exp.baseline_sim(),
-        pipe,
-    )?;
+    let run = |spec: CellSpec| {
+        evaluate(
+            &w.source,
+            &w.args,
+            spec.compiled_model(),
+            spec.machine(),
+            spec.sim(),
+            pipe,
+        )
+    };
+    let base = run(CellSpec::baseline(exp.max_cycles))?;
     let mut models: [SimStats; 3] = Default::default();
     for model in Model::ALL {
-        let s = evaluate(&w.source, &w.args, model, exp.machine(), exp.sim(), pipe)?;
+        let s = run(exp.cell(model))?;
         if s.ret != base.ret {
             // A model disagreeing with the baseline is a miscompile;
             // report it as a typed error so matrix drivers can contain it

@@ -58,7 +58,7 @@ pub mod vfs;
 pub use client::{Client, ClientConfig, ClientError};
 pub use experiments::{
     branch_table, instruction_table, mean_speedup, run_experiment, run_workload, speedup_table,
-    BenchResult, Experiment,
+    BenchResult, CellSpec, Experiment,
 };
 pub use fsck::{fsck, FsckOptions, FsckReport};
 pub use journal::{fnv64, JournalConflict, JournalEntry, RecordOutcome};
@@ -68,7 +68,7 @@ pub use matrix::{
     MatrixConfig, MatrixRun, RequestConfig, RequestFailure, RetryPolicy, MAX_REQUEST_ISSUE,
 };
 pub use pipeline::{
-    compile_model, evaluate, speedup, Degradation, LintError, Model, Pipeline, PipelineError, Stage,
+    evaluate, speedup, Degradation, LintError, Model, Pipeline, PipelineError, Stage,
 };
 pub use report::{format_table, summarize_run, Row, RunSummary};
 pub use soak::{run_soak, SoakConfig, SoakFailure, SoakReport, SOAK_EXPERIMENT};

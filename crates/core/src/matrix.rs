@@ -45,7 +45,8 @@
 //! [`MatrixConfig`]:
 //!
 //! * a journal [`Store`] makes runs *resumable*: every completed cell is
-//!   stored under its fingerprint, and a later run handed the same store
+//!   stored under its [`CellSpec::key`] (the daemon and soak key their
+//!   results the same way), and a later run handed the same store
 //!   copies journaled stats back bit-identically instead of re-running
 //!   the cell — at any thread count, since cells are independent;
 //! * a [`RetryPolicy`] re-runs cells whose failure is plausibly
@@ -60,8 +61,8 @@
 //!   delta-debugged minimal reproducer) replayable with
 //!   `hyperpredc repro`.
 
-use crate::experiments::{BenchResult, Experiment};
-use crate::journal::{fnv64, model_slug, JournalEntry, RecordOutcome};
+use crate::experiments::{BenchResult, CellSpec, Experiment};
+use crate::journal::{JournalEntry, RecordOutcome};
 use crate::pipeline::{Degradation, FrontOutput, Model, Pipeline, PipelineError};
 use crate::store::Store;
 use crate::triage::{self, ReproCell, TriageConfig};
@@ -653,6 +654,7 @@ impl CompileCache {
     fn get_or_compile(
         &self,
         key: CompileKey,
+        machine: &MachineConfig,
         w: &Workload,
         pipe: &Pipeline,
     ) -> Result<CompiledUnit, CellError> {
@@ -668,11 +670,10 @@ impl CompileCache {
             // front (frontend error, profiling fault, injected panic) is
             // memoized once and replayed to every dependent key.
             let front = self.get_or_front(key.workload, w, pipe)?;
-            let machine = MachineConfig::new(key.issue, key.branches);
             // Panics inside the pipeline are contained *here* so the slot
             // is still initialized (as failed) for everyone waiting on it.
             let module = Arc::new(contained(
-                catch_cell(|| pipe.finish(&front, key.model, &machine)),
+                catch_cell(|| pipe.finish(&front, key.model, machine)),
                 FailureStage::Compile,
             )?);
             let decoded = Arc::new(DecodedModule::decode(&module));
@@ -770,65 +771,28 @@ impl Cell {
     }
 }
 
-/// The machine/simulation parameters a cell runs under — the part of its
-/// identity shared by compiling, simulating, fingerprinting and triage.
-struct CellParams {
-    experiment: &'static str,
-    model: Option<Model>,
-    issue: u32,
-    branches: u32,
-    memory: MemoryModel,
-    max_cycles: u64,
-}
-
-impl CellParams {
-    fn machine(&self) -> MachineConfig {
-        MachineConfig::new(self.issue, self.branches)
-    }
-
-    /// The cell's memory model and cycle budget; every other simulator
-    /// knob (the predictor) is the default all figures share.
-    fn sim(&self) -> SimConfig {
-        SimConfig {
-            memory: self.memory,
-            max_cycles: self.max_cycles,
-            ..SimConfig::default()
-        }
-    }
-}
-
-fn params_of(cell: Cell, exps: &[Experiment]) -> CellParams {
+/// The spec a cell runs under: the shared denominator, or its figure's
+/// cell for its model.
+fn params_of(cell: Cell, exps: &[Experiment]) -> CellSpec {
     match cell {
-        // The shared denominator: 1-issue, perfect memory, whatever cycle
-        // budget the figures agree on (they all use the same default).
-        Cell::Baseline { .. } => CellParams {
-            experiment: "baseline",
-            model: None,
-            issue: 1,
-            branches: 1,
-            memory: MemoryModel::Perfect,
-            max_cycles: exps.first().map_or(DEFAULT_CYCLE_LIMIT, |e| e.max_cycles),
-        },
-        Cell::Model { e, m, .. } => CellParams {
-            experiment: exps[e].title,
-            model: Some(Model::ALL[m]),
-            issue: exps[e].issue,
-            branches: exps[e].branches,
-            memory: exps[e].memory,
-            max_cycles: exps[e].max_cycles,
-        },
+        // Whatever cycle budget the figures agree on (they all use the
+        // same default).
+        Cell::Baseline { .. } => {
+            CellSpec::baseline(exps.first().map_or(DEFAULT_CYCLE_LIMIT, |e| e.max_cycles))
+        }
+        Cell::Model { e, m, .. } => exps[e].cell(Model::ALL[m]),
     }
 }
 
 /// The compile-cache key of a cell; the baseline compiles the superblock
 /// model for the 1-issue machine.
 fn key_of(cell: Cell, exps: &[Experiment]) -> CompileKey {
-    let p = params_of(cell, exps);
+    let spec = params_of(cell, exps);
     CompileKey {
         workload: cell.workload(),
-        model: p.model.unwrap_or(Model::Superblock),
-        issue: p.issue,
-        branches: p.branches,
+        model: spec.compiled_model(),
+        issue: spec.issue,
+        branches: spec.branches,
     }
 }
 
@@ -840,37 +804,6 @@ fn slot_of(cell: Cell, workloads: usize) -> usize {
         Cell::Baseline { w } => w,
         Cell::Model { e, w, m } => workloads + (e * workloads + w) * Model::ALL.len() + m,
     }
-}
-
-/// The content address shared by matrix cells and service requests: an
-/// FNV-1a hash over a canonical string of everything that determines a
-/// cell's stats (crate version, the full pipeline config, name + source
-/// hash + args, experiment, model, and the machine/simulation
-/// parameters). See the [`crate::journal`] docs for why the key is
-/// deliberately conservative. Existing journals and stores are keyed by
-/// it, so its format must not change.
-fn content_key(pipe: &Pipeline, name: &str, source: &str, args: &[i64], p: &CellParams) -> String {
-    let canonical = format!(
-        "v{}|pipe{:016x}|{}|src{:016x}|args{:?}|{}|{}|issue{}|br{}|{:?}|cycles{}",
-        env!("CARGO_PKG_VERSION"),
-        fnv64(format!("{pipe:?}").as_bytes()),
-        name,
-        fnv64(source.as_bytes()),
-        args,
-        p.experiment,
-        model_slug(p.model),
-        p.issue,
-        p.branches,
-        p.memory,
-        p.max_cycles,
-    );
-    format!("{:016x}", fnv64(canonical.as_bytes()))
-}
-
-/// The journal key of a matrix cell.
-fn fingerprint(cell: Cell, exps: &[Experiment], workloads: &[Workload], pipe: &Pipeline) -> String {
-    let wl = &workloads[cell.workload()];
-    content_key(pipe, wl.name, &wl.source, &wl.args, &params_of(cell, exps))
 }
 
 /// Fills a result slot. An identical duplicate fill (a lost race between
@@ -1026,7 +959,10 @@ pub fn run_matrix(
     let fps: Option<Vec<String>> = cfg.journal.map(|_| {
         cells
             .iter()
-            .map(|&c| fingerprint(c, exps, workloads, pipe))
+            .map(|&c| {
+                let wl = &workloads[c.workload()];
+                params_of(c, exps).key(pipe, wl.name, &wl.source, &wl.args)
+            })
             .collect()
     });
 
@@ -1047,8 +983,9 @@ pub fn run_matrix(
     // the catch_cell wrapper in the worker loop.
     let exec_cell = |cell: Cell| -> Result<(), CellError> {
         let wl = &workloads[cell.workload()];
-        let p = params_of(cell, exps);
-        let unit = cache.get_or_compile(key_of(cell, exps), wl, pipe)?;
+        let spec = params_of(cell, exps);
+        let machine = spec.machine();
+        let unit = cache.get_or_compile(key_of(cell, exps), &machine, wl, pipe)?;
         LAST_MODULE.with(|m| *m.borrow_mut() = Some(Arc::clone(&unit.module)));
         if pipe.fault_injection {
             crate::faults::maybe_injected_sim_panic(&unit.module);
@@ -1057,12 +994,12 @@ pub fn run_matrix(
             &unit.module,
             &unit.decoded,
             &wl.args,
-            p.machine(),
-            p.sim(),
+            machine,
+            spec.sim(),
             cfg.deadline,
         )
         .map_err(|e| (FailureStage::Simulate, FailurePayload::Error(e)))?;
-        fill_slot(slot(cell), stats, wl.name, p.model)
+        fill_slot(slot(cell), stats, wl.name, spec.model)
     };
 
     // Writes a repro bundle for a permanently failed cell; bundle errors
@@ -1070,23 +1007,18 @@ pub fn run_matrix(
     let emit_triage = |cell: Cell, stage: FailureStage, payload: &FailurePayload, attempts: u32| {
         let Some(tcfg) = cfg.triage else { return };
         let wl = &workloads[cell.workload()];
-        let p = params_of(cell, exps);
+        let spec = params_of(cell, exps);
         let module = LAST_MODULE.with(|m| m.borrow_mut().take());
         let repro = ReproCell {
             workload: wl.name.to_string(),
             args: wl.args.clone(),
-            experiment: p.experiment.to_string(),
-            model: p.model,
-            issue: p.issue,
-            branches: p.branches,
-            memory: p.memory,
-            max_cycles: p.max_cycles,
             fault_injection: pipe.fault_injection,
             sabotage: pipe.sabotage,
             stage,
             signature: triage::signature(payload),
-            fingerprint: fingerprint(cell, exps, workloads, pipe),
+            fingerprint: spec.key(pipe, wl.name, &wl.source, &wl.args),
             attempts,
+            spec,
         };
         match triage::write_bundle(
             tcfg,
@@ -1098,7 +1030,7 @@ pub fn run_matrix(
             Ok(dir) => eprintln!("triage: wrote repro bundle {}", dir.display()),
             Err(e) => eprintln!(
                 "triage: could not write bundle for {} / {}: {e}",
-                wl.name, p.experiment
+                wl.name, repro.spec.experiment
             ),
         }
     };
@@ -1136,9 +1068,10 @@ pub fn run_matrix(
                     return;
                 }
                 let workload = workloads[cell.workload()].name;
-                let CellParams {
-                    experiment, model, ..
-                } = params_of(cell, exps);
+                let (experiment, model) = match cell {
+                    Cell::Baseline { .. } => ("baseline", None),
+                    Cell::Model { e, m, .. } => (exps[e].title, Some(Model::ALL[m])),
+                };
                 let journal = cfg.journal.zip(fps.as_deref().map(|fps| fps[i].as_str()));
                 // Resume: a journaled cell's stats are copied back
                 // bit-identically; nothing about it re-runs.
@@ -1396,11 +1329,11 @@ impl CellRequest {
         Ok(())
     }
 
-    /// The request's cell parameters, filed under the service namespace
-    /// of its degradation policy.
-    fn params(&self, degrade: bool) -> CellParams {
-        CellParams {
-            experiment: service_namespace(degrade),
+    /// The request's cell, filed under the service namespace of its
+    /// degradation policy.
+    fn cell(&self, degrade: bool) -> CellSpec {
+        CellSpec {
+            experiment: service_namespace(degrade).into(),
             model: Some(self.model),
             issue: self.issue,
             branches: self.branches,
@@ -1481,13 +1414,8 @@ pub fn service_namespace(degrade: bool) -> &'static str {
 /// The content address of a request: the same key as a matrix cell's
 /// journal fingerprint, with [`service_namespace`] as the experiment.
 pub fn request_fingerprint(req: &CellRequest, pipe: &Pipeline, degrade: bool) -> String {
-    content_key(
-        pipe,
-        &req.name,
-        &req.source,
-        &req.args,
-        &req.params(degrade),
-    )
+    req.cell(degrade)
+        .key(pipe, &req.name, &req.source, &req.args)
 }
 
 /// Runs one [`CellRequest`] end to end with the engine's full containment
@@ -1514,8 +1442,8 @@ pub fn run_request(
             wall: started.elapsed(),
         });
     }
-    let params = req.params(cfg.degrade);
-    let (machine, sim) = (params.machine(), params.sim());
+    let spec = req.cell(cfg.degrade);
+    let (machine, sim) = (spec.machine(), spec.sim());
 
     // One attempt: compile (front + finish) and simulate, each phase
     // under its own panic containment so a captured panic is attributed
@@ -1665,15 +1593,9 @@ mod tests {
         };
         let exps = [Experiment::fig8(), Experiment::fig11()];
         let pipe = Pipeline::default();
-        let wls = std::slice::from_ref(&wl);
-        assert_eq!(
-            fingerprint(Cell::Baseline { w: 0 }, &exps, wls, &pipe),
-            "afbb001ff8dae874"
-        );
-        assert_eq!(
-            fingerprint(Cell::Model { e: 1, w: 0, m: 2 }, &exps, wls, &pipe),
-            "36c2ed384df6cebf"
-        );
+        let key = |cell| params_of(cell, &exps).key(&pipe, wl.name, &wl.source, &wl.args);
+        assert_eq!(key(Cell::Baseline { w: 0 }), "afbb001ff8dae874");
+        assert_eq!(key(Cell::Model { e: 1, w: 0, m: 2 }), "36c2ed384df6cebf");
         let req = CellRequest {
             name: "pin".to_string(),
             source: source.to_string(),

@@ -744,22 +744,6 @@ impl Pipeline {
             }
         }
     }
-
-    /// [`Pipeline::compile`] with the [`Pipeline::finish_degraded`]
-    /// degradation ladder applied to the back half.
-    ///
-    /// # Errors
-    /// See [`Pipeline::finish_degraded`].
-    pub fn compile_degraded(
-        &self,
-        source: &str,
-        args: &[i64],
-        model: Model,
-        machine: &MachineConfig,
-    ) -> Result<(Module, Degradation), PipelineError> {
-        let front = self.front(source, args)?;
-        self.finish_degraded(&front, model, machine)
-    }
 }
 
 /// What the degradation ladder had to give up to finish a compile.
@@ -790,19 +774,6 @@ impl fmt::Display for Degradation {
         }
         Ok(())
     }
-}
-
-/// Compiles `source` under `model` with default pipeline settings.
-///
-/// # Errors
-/// See [`Pipeline::compile`].
-pub fn compile_model(
-    source: &str,
-    args: &[i64],
-    model: Model,
-    machine: &MachineConfig,
-) -> Result<Module, PipelineError> {
-    Pipeline::default().compile(source, args, model, machine)
 }
 
 /// Compiles and simulates `source` in one call, returning timing

@@ -5,9 +5,12 @@
 //! emits a *repro bundle*: a directory holding everything needed to
 //! replay the failure on another machine with nothing but this repo —
 //!
-//! * `cell.json` — the cell's exact configuration (workload, model,
-//!   machine and simulation parameters, fault-injection flag), the
-//!   failure stage, the normalized *signature*, and the full payload;
+//! * `cell.json` — the cell's exact configuration (workload, its
+//!   [`CellSpec`]: experiment, model, machine, memory and cycle budget;
+//!   fault-injection flag), the failure stage, the normalized
+//!   *signature*, and the full payload. It is read strictly: a model,
+//!   memory, stage or sabotage no writer produces is an error naming
+//!   the field, never a default that would replay a different cell;
 //! * `workload.c` — the MiniC source (replay recompiles from source:
 //!   the IR text dump does not carry global initializers, so source is
 //!   the only self-contained input);
@@ -40,16 +43,16 @@
 //! budget's worth of simulation, and a smaller program usually stops
 //! tripping the budget anyway.
 
+use crate::experiments::CellSpec;
 use crate::faults;
 use crate::journal::{model_from_slug, model_slug};
 use crate::json::{self, Object, Value};
 use crate::matrix::{catch_cell, FailurePayload, FailureStage};
-use crate::pipeline::{Model, Pipeline, PipelineError, Stage};
+use crate::pipeline::{Pipeline, PipelineError, Stage};
 use crate::service::{memory_slug, parse_memory, width};
 use hyperpred_ir::Module;
 use hyperpred_lang::lower::entry_args;
-use hyperpred_sched::MachineConfig;
-use hyperpred_sim::{simulate, MemoryModel, SimConfig, SimError, SimStats};
+use hyperpred_sim::{simulate, SimError, SimStats};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
@@ -60,22 +63,17 @@ pub const BUNDLE_VERSION: u64 = 1;
 /// failing program stays bounded.
 const MAX_PROBES: usize = 4096;
 
-/// Where (and whether) the engine emits repro bundles.
+/// Where the engine emits repro bundles.
 #[derive(Debug, Clone)]
 pub struct TriageConfig {
     /// Directory bundles are created under (one subdirectory per cell).
     pub dir: PathBuf,
-    /// Run the delta-debugging minimizer on each bundle.
-    pub minimize: bool,
 }
 
 impl TriageConfig {
-    /// Bundles under `dir`, with minimization on.
+    /// Bundles under `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> TriageConfig {
-        TriageConfig {
-            dir: dir.into(),
-            minimize: true,
-        }
+        TriageConfig { dir: dir.into() }
     }
 }
 
@@ -87,19 +85,9 @@ pub struct ReproCell {
     pub workload: String,
     /// Workload arguments.
     pub args: Vec<i64>,
-    /// Figure title, or `"baseline"` for the shared denominator cell.
-    pub experiment: String,
-    /// Model of the failed cell (`None` for the baseline cell).
-    pub model: Option<Model>,
-    /// Issue width of the simulated machine.
-    pub issue: u32,
-    /// Branch slots per cycle.
-    pub branches: u32,
-    /// Memory model (cache geometry is the default one; the experiment
-    /// layer never uses another).
-    pub memory: MemoryModel,
-    /// Cycle budget the cell ran under.
-    pub max_cycles: u64,
+    /// The failed cell: its experiment, model, machine, memory model and
+    /// cycle budget.
+    pub spec: CellSpec,
     /// Whether fault-injection markers were honored.
     pub fault_injection: bool,
     /// Chaos sabotage applied after this pass, if any (soak's sabotage
@@ -194,18 +182,6 @@ pub fn minimizable(sig: &str) -> bool {
 // Replay
 // ---------------------------------------------------------------------------
 
-fn machine_of(cell: &ReproCell) -> MachineConfig {
-    MachineConfig::new(cell.issue.max(1), cell.branches.max(1))
-}
-
-fn sim_of(cell: &ReproCell) -> SimConfig {
-    SimConfig {
-        memory: cell.memory,
-        max_cycles: cell.max_cycles,
-        ..SimConfig::default()
-    }
-}
-
 fn pipe_of(cell: &ReproCell) -> Pipeline {
     Pipeline {
         fault_injection: cell.fault_injection,
@@ -225,52 +201,31 @@ pub fn replay(cell: &ReproCell, source: &str) -> Option<String> {
     // plain compile+simulate replay can never reproduce — and soak
     // compiles with the degradation ladder, so its budget failures are
     // the *permanent* ones, not the first budget a plain compile trips.
-    if cell.experiment == crate::soak::SOAK_EXPERIMENT {
+    if cell.spec.experiment == crate::soak::SOAK_EXPERIMENT {
         return crate::soak::replay_cell(cell, source);
     }
     let pipe = pipe_of(cell);
-    let machine = machine_of(cell);
-    let sim_cfg = sim_of(cell);
-    let model = cell.model.unwrap_or(Model::Superblock);
-    let caught = catch_cell(|| -> Result<SimStats, PipelineError> {
-        let module = pipe.compile(source, &cell.args, model, &machine)?;
-        if pipe.fault_injection {
-            faults::maybe_injected_sim_panic(&module);
-        }
-        let stats = simulate(&module, "main", &entry_args(&cell.args), machine, sim_cfg)?;
-        Ok(stats)
-    });
-    let stats = match caught {
+    let run = |spec: &CellSpec| {
+        catch_cell(|| -> Result<SimStats, PipelineError> {
+            let machine = spec.machine();
+            let module = pipe.compile(source, &cell.args, spec.compiled_model(), &machine)?;
+            if pipe.fault_injection {
+                faults::maybe_injected_sim_panic(&module);
+            }
+            let args = entry_args(&cell.args);
+            Ok(simulate(&module, "main", &args, machine, spec.sim())?)
+        })
+    };
+    let stats = match run(&cell.spec) {
         Err(panic_msg) => return Some(signature(&FailurePayload::Panic(panic_msg))),
         Ok(Err(e)) => return Some(signature(&FailurePayload::Error(e))),
         Ok(Ok(stats)) => stats,
     };
-    if cell.signature.starts_with("diverged:") {
-        if let Some(model) = cell.model {
-            let base = catch_cell(|| -> Result<SimStats, PipelineError> {
-                let module = pipe.compile(
-                    source,
-                    &cell.args,
-                    Model::Superblock,
-                    &MachineConfig::one_issue(),
-                )?;
-                let base_sim = SimConfig {
-                    memory: MemoryModel::Perfect,
-                    max_cycles: cell.max_cycles,
-                    ..SimConfig::default()
-                };
-                Ok(simulate(
-                    &module,
-                    "main",
-                    &entry_args(&cell.args),
-                    MachineConfig::one_issue(),
-                    base_sim,
-                )?)
-            });
-            if let Ok(Ok(base)) = base {
-                if base.ret != stats.ret {
-                    return Some(format!("diverged: {model}"));
-                }
+    if let Some(model) = cell.spec.model {
+        if cell.signature.starts_with("diverged:") {
+            let base = run(&CellSpec::baseline(cell.spec.max_cycles));
+            if matches!(base, Ok(Ok(base)) if base.ret != stats.ret) {
+                return Some(format!("diverged: {model}"));
             }
         }
     }
@@ -281,13 +236,12 @@ pub fn replay(cell: &ReproCell, source: &str) -> Option<String> {
 /// injection point, then the timing simulation. Used by the module-level
 /// minimizer, whose candidates exist only in memory.
 fn replay_module(cell: &ReproCell, module: &Module) -> Option<String> {
-    let machine = machine_of(cell);
-    let sim_cfg = sim_of(cell);
     let caught = catch_cell(|| -> Result<SimStats, SimError> {
         if cell.fault_injection {
             faults::maybe_injected_sim_panic(module);
         }
-        simulate(module, "main", &entry_args(&cell.args), machine, sim_cfg)
+        let args = entry_args(&cell.args);
+        simulate(module, "main", &args, cell.spec.machine(), cell.spec.sim())
     });
     match caught {
         Err(panic_msg) => Some(signature(&FailurePayload::Panic(panic_msg))),
@@ -479,8 +433,8 @@ pub fn bundle_dir(root: &Path, cell: &ReproCell) -> PathBuf {
     root.join(format!(
         "{}-{}-{}",
         slug(&cell.workload, 24),
-        slug(&cell.experiment, 24),
-        model_slug(cell.model),
+        slug(&cell.spec.experiment, 24),
+        model_slug(cell.spec.model),
     ))
 }
 
@@ -491,13 +445,13 @@ fn cell_json(cell: &ReproCell, payload_text: &str) -> String {
         .u64("version", BUNDLE_VERSION)
         .str("fingerprint", &cell.fingerprint)
         .str("workload", &cell.workload)
-        .str("experiment", &cell.experiment)
-        .str("model", model_slug(cell.model))
+        .str("experiment", &cell.spec.experiment)
+        .str("model", model_slug(cell.spec.model))
         .str("args", &args.join(","))
-        .u64("issue", cell.issue.into())
-        .u64("branches", cell.branches.into())
-        .str("memory", memory_slug(&cell.memory))
-        .u64("max_cycles", cell.max_cycles)
+        .u64("issue", cell.spec.issue.into())
+        .u64("branches", cell.spec.branches.into())
+        .str("memory", memory_slug(&cell.spec.memory))
+        .u64("max_cycles", cell.spec.max_cycles)
         .bool("fault_injection", cell.fault_injection)
         .str("sabotage", cell.sabotage.map_or("none", Stage::name))
         .str("stage", &cell.stage.to_string())
@@ -521,12 +475,11 @@ fn minimize_json(kind: &str, unit: &str, sizes: (usize, usize), signature: &str)
         + "\n"
 }
 
-fn parse_stage(s: &str) -> FailureStage {
-    match s {
-        "compile" => FailureStage::Compile,
-        "emulate" => FailureStage::Emulate,
-        _ => FailureStage::Simulate,
-    }
+/// A field that must hold one of the values the writer produces: anything
+/// else is an error naming the field, never a silent default — a misread
+/// model or memory would replay a different cell.
+fn known<T>(key: &str, value: &str, parsed: Option<T>) -> Result<T, String> {
+    parsed.ok_or_else(|| format!("field `{key}` has unknown value `{value}`"))
 }
 
 /// Reads `cell.json`; errors name the field at fault.
@@ -549,24 +502,46 @@ fn parse_cell_json(text: &str) -> Result<ReproCell, String> {
         .filter(|s| !s.is_empty())
         .map(|s| s.parse().map_err(|_| format!("bad arg `{s}`")))
         .collect::<Result<Vec<i64>, String>>()?;
+    let model = match need("model")? {
+        slug if slug == model_slug(None) => None,
+        slug => Some(known("model", slug, model_from_slug(slug))?),
+    };
+    let (memory, stage) = (need("memory")?, need("stage")?);
+    let stages = [
+        FailureStage::Compile,
+        FailureStage::Emulate,
+        FailureStage::Simulate,
+    ];
+    // A zero width has no machine: `MachineConfig::new` asserts on it.
+    let machine_width = |key: &str| match width(&v, key)? {
+        0 => Err(format!("field `{key}` out of range: 0")),
+        n => Ok(n),
+    };
     Ok(ReproCell {
         workload: need("workload")?.to_string(),
         args,
-        experiment: need("experiment")?.to_string(),
-        model: model_from_slug(need("model")?),
-        issue: width(&v, "issue")?,
-        branches: width(&v, "branches")?,
-        memory: parse_memory(need("memory")?).unwrap_or(MemoryModel::Perfect),
-        max_cycles: v
-            .field("max_cycles", Value::num)?
-            .ok_or("missing field `max_cycles`")?,
+        spec: CellSpec {
+            experiment: need("experiment")?.to_string().into(),
+            model,
+            issue: machine_width("issue")?,
+            branches: machine_width("branches")?,
+            memory: known("memory", memory, parse_memory(memory))?,
+            max_cycles: v
+                .field("max_cycles", Value::num)?
+                .ok_or("missing field `max_cycles`")?,
+        },
         fault_injection: v.field("fault_injection", Value::as_bool)?.unwrap_or(false),
-        // "none", a garbled value, and a missing key (pre-soak bundles)
-        // all read back as no sabotage.
-        sabotage: v
-            .field("sabotage", Value::as_str)?
-            .and_then(|s| s.parse().ok()),
-        stage: parse_stage(need("stage")?),
+        // "none" and a missing key (pre-soak bundles) read back as no
+        // sabotage; anything else must name a pass.
+        sabotage: match v.field("sabotage", Value::as_str)? {
+            None | Some("none") => None,
+            Some(pass) => Some(known("sabotage", pass, pass.parse().ok())?),
+        },
+        stage: known(
+            "stage",
+            stage,
+            stages.into_iter().find(|s| s.to_string() == stage),
+        )?,
         signature: need("signature")?.to_string(),
         fingerprint: need("fingerprint")?.to_string(),
         attempts: v.field("attempts", Value::num)?.unwrap_or(1),
@@ -595,7 +570,7 @@ pub fn write_bundle(
     if let Some(m) = module {
         write_file(&dir.join("ir.txt"), &format!("{m}"))?;
     }
-    if cfg.minimize && minimizable(&cell.signature) {
+    if minimizable(&cell.signature) {
         if let Some(m) = module {
             if let Some(min) = minimize_module(cell, m) {
                 write_file(&dir.join("minimized.txt"), &format!("{}", min.module))?;
@@ -654,17 +629,21 @@ pub fn load_bundle(dir: impl AsRef<Path>) -> Result<Bundle, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Model;
+    use hyperpred_sim::MemoryModel;
 
     fn cell(signature: &str) -> ReproCell {
         ReproCell {
             workload: "inject-panic".to_string(),
             args: vec![3, -4],
-            experiment: "Figure 8: 8-issue, 1-branch, perfect caches".to_string(),
-            model: Some(Model::FullPred),
-            issue: 8,
-            branches: 1,
-            memory: MemoryModel::Perfect,
-            max_cycles: 2_000_000,
+            spec: CellSpec {
+                experiment: "Figure 8: 8-issue, 1-branch, perfect caches".into(),
+                model: Some(Model::FullPred),
+                issue: 8,
+                branches: 1,
+                memory: MemoryModel::Perfect,
+                max_cycles: 2_000_000,
+            },
             fault_injection: true,
             sabotage: Some(crate::pipeline::Stage::Promote),
             stage: FailureStage::Compile,
@@ -705,11 +684,7 @@ mod tests {
         let back = parse_cell_json(&json).expect("parses");
         assert_eq!(back.workload, c.workload);
         assert_eq!(back.args, c.args);
-        assert_eq!(back.experiment, c.experiment);
-        assert_eq!(back.model, c.model);
-        assert_eq!(back.issue, c.issue);
-        assert_eq!(back.branches, c.branches);
-        assert_eq!(back.max_cycles, c.max_cycles);
+        assert_eq!(back.spec, c.spec);
         assert!(back.fault_injection);
         assert_eq!(back.sabotage, c.sabotage);
         assert_eq!(back.stage, c.stage);
@@ -733,6 +708,28 @@ mod tests {
         assert_eq!(
             parse_cell_json(&mistyped).unwrap_err(),
             "field `fault_injection` has the wrong type"
+        );
+        // A typo is an error naming the field, never a silent default (a
+        // misread model would replay the baseline instead).
+        for (field, value, typo) in [
+            ("model", "fullpred", "condmov"),
+            ("memory", "perfect", "perfet"),
+            ("stage", "compile", "compil"),
+            ("sabotage", "promote", "promot"),
+        ] {
+            let bad = json.replace(
+                &format!("\"{field}\":\"{value}\""),
+                &format!("\"{field}\":\"{typo}\""),
+            );
+            assert_eq!(
+                parse_cell_json(&bad).unwrap_err(),
+                format!("field `{field}` has unknown value `{typo}`")
+            );
+        }
+        let zero = json.replace("\"branches\":1", "\"branches\":0");
+        assert_eq!(
+            parse_cell_json(&zero).unwrap_err(),
+            "field `branches` out of range: 0"
         );
     }
 

@@ -149,7 +149,10 @@ fn pathological_growth_degrades_typed_never_hangs() {
         pipe.unroll.factor = 8;
         pipe.unroll.max_growth_insts = 4;
         pipe.hyperblock.max_growth_insts = 4;
-        match pipe.compile_degraded(&prog.source, &prog.args, Model::FullPred, &machine) {
+        let compiled = pipe
+            .front(&prog.source, &prog.args)
+            .and_then(|front| pipe.finish_degraded(&front, Model::FullPred, &machine));
+        match compiled {
             Ok((_, deg)) => {
                 if deg.is_degraded() {
                     tripped += 1;

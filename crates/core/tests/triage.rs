@@ -8,10 +8,9 @@ use hyperpred::faults::{panic_fixture, sim_panic_fixture};
 use hyperpred::triage;
 use hyperpred::FailureStage;
 use hyperpred::{
-    compile_model, load_bundle, minimize_module, run_matrix, Experiment, FailurePolicy,
-    MatrixConfig, Model, Pipeline, TriageConfig,
+    load_bundle, minimize_module, run_matrix, Experiment, FailurePolicy, MatrixConfig, Model,
+    Pipeline, TriageConfig,
 };
-use hyperpred_sim::MemoryModel;
 use std::path::PathBuf;
 
 const TEST_MAX_CYCLES: u64 = 50_000;
@@ -136,19 +135,20 @@ fn permanent_failures_emit_replayable_bundles() {
 #[test]
 fn minimize_module_shrinks_while_preserving_the_signature() {
     let fixture = sim_panic_fixture();
-    let machine = hyperpred_sched::MachineConfig::new(8, 1);
-    let module = compile_model(&fixture.source, &fixture.args, Model::FullPred, &machine)
+    let spec = experiment().cell(Model::FullPred);
+    let module = Pipeline::default()
+        .compile(
+            &fixture.source,
+            &fixture.args,
+            Model::FullPred,
+            &spec.machine(),
+        )
         .expect("the fixture compiles; the injection trips at simulate time");
 
     let cell = triage::ReproCell {
         workload: fixture.name.to_string(),
         args: fixture.args.clone(),
-        experiment: experiment().title.to_string(),
-        model: Some(Model::FullPred),
-        issue: 8,
-        branches: 1,
-        memory: MemoryModel::Perfect,
-        max_cycles: TEST_MAX_CYCLES,
+        spec,
         fault_injection: true,
         sabotage: None,
         stage: FailureStage::Simulate,

@@ -64,17 +64,12 @@ impl fmt::Display for Inst {
             write!(f, "{sep}{pd}")?;
             sep = ", ";
         }
-        match self.op {
-            Op::Ld(_) => {
-                write!(f, "{sep}[{} + {}]", self.srcs[0], self.srcs[1])?;
-            }
-            Op::St(_) => {
-                write!(
-                    f,
-                    "{sep}[{} + {}], {}",
-                    self.srcs[0], self.srcs[1], self.srcs[2]
-                )?;
-            }
+        // Memory operands print in address form only at their arity; a
+        // malformed instruction (the verifier formats the ones it
+        // rejects) prints as a plain source list.
+        match (self.op, self.srcs.as_slice()) {
+            (Op::Ld(_), [base, off]) => write!(f, "{sep}[{base} + {off}]")?,
+            (Op::St(_), [base, off, val]) => write!(f, "{sep}[{base} + {off}], {val}")?,
             _ => {
                 for s in &self.srcs {
                     write!(f, "{sep}{s}")?;
