@@ -1,7 +1,7 @@
 //! Store integrity checking and repair: the library behind
 //! `hyperpredc fsck <store>`.
 //!
-//! [`fsck`] walks every segment of a [`Store`](crate::store::Store)
+//! [`fsck`] walks every segment of a [`Store`]
 //! directory — a daemon's store, or the `--resume` directory of a
 //! `figures` or `soak` run — and classifies each line with the store's
 //! own scanner (valid checksummed cell / meta / foreign-version / torn

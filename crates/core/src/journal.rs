@@ -35,7 +35,7 @@
 //! are still accepted, so old journals and stores load unchanged.
 //!
 //! Only successful cells are recorded — failures re-run on resume.
-//! [`parse_cell_line`] is the one classifier of a line, shared by store
+//! `parse_cell_line` is the one classifier of a line, shared by store
 //! loading, compaction and `fsck`: a servable cell; an expected skip (a
 //! meta record, or a cell of a version that is neither
 //! [`JOURNAL_VERSION`] nor [`LEGACY_JOURNAL_VERSION`]); a torn final line

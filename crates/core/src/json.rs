@@ -422,7 +422,7 @@ impl Object {
     }
 
     /// Appends a member whose value is already-encoded JSON, such as an
-    /// [`array`].
+    /// [`array()`].
     pub fn raw(&mut self, key: &str, json: &str) -> &mut Object {
         self.key(key).push_str(json);
         self

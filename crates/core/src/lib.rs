@@ -20,9 +20,9 @@
 //! # Quickstart
 //!
 //! ```
-//! use hyperpred::{evaluate, speedup, Model, Pipeline};
+//! use hyperpred::{evaluate, speedup, CellSpec, Model, Pipeline};
 //! use hyperpred_sched::MachineConfig;
-//! use hyperpred_sim::SimConfig;
+//! use hyperpred_sim::{SimConfig, DEFAULT_CYCLE_LIMIT};
 //!
 //! let src = "int main() {
 //!     int i; int s; s = 0;
@@ -32,7 +32,9 @@
 //! let pipe = Pipeline::default();
 //! let machine = MachineConfig::new(8, 1);
 //! let sim = SimConfig::default();
-//! let base = evaluate(src, &[], Model::Superblock, MachineConfig::one_issue(), sim, &pipe)
+//! // The paper's speedup denominator: 1-issue superblock, perfect memory.
+//! let denom = CellSpec::baseline(DEFAULT_CYCLE_LIMIT);
+//! let base = evaluate(src, &[], denom.compiled_model(), denom.machine(), denom.sim(), &pipe)
 //!     .unwrap();
 //! let full = evaluate(src, &[], Model::FullPred, machine, sim, &pipe).unwrap();
 //! assert_eq!(base.ret, full.ret);

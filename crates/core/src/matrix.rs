@@ -13,11 +13,20 @@
 //! * the fixed 1-issue perfect-memory baseline — the denominator of every
 //!   speedup bar — is re-simulated per figure.
 //!
-//! This engine fixes both: a [`CompileCache`] keyed by (workload, model,
-//! machine) hands out `Arc<Module>`s compiled exactly once, a baseline
-//! memo simulates each workload's denominator once, and a
-//! `std::thread::scope` work queue spreads the remaining cells over
-//! `threads` workers. Results are bit-identical to the serial
+//! This engine fixes both. Its compile cache memoizes at three levels,
+//! one per seam where a compile stops depending on less:
+//!
+//! 1. the front half ([`Pipeline::front`]: frontend, pre-formation
+//!    optimization, the profiling run), once per workload;
+//! 2. formation, conversion and post optimization, once per (workload,
+//!    model), since only list scheduling reads the machine;
+//! 3. the scheduled and pre-decoded module, once per (workload, model,
+//!    machine).
+//!
+//! The full matrix thus profiles 15 workloads, forms 45 modules and
+//! schedules 150. A baseline memo simulates each workload's denominator
+//! once, and a `std::thread::scope` work queue spreads the remaining
+//! cells over `threads` workers. Results are bit-identical to the serial
 //! [`run_workload`](crate::experiments::run_workload) path because
 //! every pass and the simulator are deterministic; the engine only
 //! deduplicates and reorders work, it never changes it.
@@ -28,8 +37,9 @@
 //! capture of the message, location, and cell identity, so a
 //! `panic!`/`unwrap` deep inside a compiler pass, the emulator, or the
 //! cycle simulator costs exactly one cell, never the run. A failed or
-//! panicking compile is memoized as failed in the shared cache, so cells
-//! depending on the same module skip it cheaply instead of re-panicking.
+//! panicking compile step is memoized as failed at its cache level, so
+//! every cell depending on it (a failed formation: that model on every
+//! machine) skips it cheaply instead of re-panicking.
 //! The timing simulator's cycle-budget watchdog
 //! ([`SimError::CycleLimit`](hyperpred_sim::SimError)) bounds how long any
 //! one cell can hold a worker. Under [`FailurePolicy::KeepGoing`] the
@@ -63,7 +73,7 @@
 
 use crate::experiments::{BenchResult, CellSpec, Experiment};
 use crate::journal::{JournalEntry, RecordOutcome};
-use crate::pipeline::{Degradation, FrontOutput, Model, Pipeline, PipelineError};
+use crate::pipeline::{Degradation, Formed, FrontOutput, Model, Pipeline, PipelineError};
 use crate::store::Store;
 use crate::triage::{self, ReproCell, TriageConfig};
 use hyperpred_emu::DecodedModule;
@@ -77,6 +87,7 @@ use hyperpred_sim::{
 use hyperpred_workloads::Workload;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
@@ -111,9 +122,15 @@ pub struct EngineStats {
     /// Model-independent front halves (frontend through the profiling
     /// run) actually computed — once per workload.
     pub front_computes: u64,
-    /// Compiles that reused a memoized front half instead of re-lowering
+    /// Formations that reused a memoized front half instead of re-lowering
     /// and re-profiling the workload.
     pub front_reuses: u64,
+    /// Machine-independent formations (region formation through post
+    /// optimization) actually run — once per (workload, model).
+    pub form_computes: u64,
+    /// Compiles that scheduled a memoized formation instead of forming
+    /// the same (workload, model) again for another machine.
+    pub form_reuses: u64,
     /// Cells whose stats were copied back from the run journal instead of
     /// re-run.
     pub journal_hits: u64,
@@ -140,6 +157,7 @@ impl EngineStats {
             "engine: {} cells in {:.2?} on {} thread(s) ({:.2?} of cell work; {:.1}x packing)\n\
              compile cache: {} misses, {} hits; baseline memo: {} simulated, {} reused\n\
              profile memo: {} front halves computed, {} reused\n\
+             formation memo: {} (workload, model) modules formed, {} reused\n\
              serial loop would run {} cells; the engine ran {}",
             self.cells.len(),
             self.wall,
@@ -152,6 +170,8 @@ impl EngineStats {
             self.baseline_reuses,
             self.front_computes,
             self.front_reuses,
+            self.form_computes,
+            self.form_reuses,
             self.serial_equivalent_cells(),
             self.baseline_sims + self.model_sims,
         );
@@ -557,32 +577,70 @@ struct CompiledUnit {
     decoded: Arc<DecodedModule>,
 }
 
-/// One shared once-per-key slot; `Err` marks a memoized failed compile,
-/// replayed cheaply for every dependent cell.
-type CompileSlot = Arc<OnceLock<Result<CompiledUnit, CellError>>>;
+/// One memoized value; `Err` marks a failure replayed to every requester.
+type Slot<V> = Arc<OnceLock<Result<V, CellError>>>;
 
-/// One shared per-workload slot for the model-independent front half
-/// (frontend → pre-formation optimization → profiling run).
-type FrontSlot = Arc<OnceLock<Result<Arc<FrontOutput>, CellError>>>;
+/// One level of the compile cache: a once-per-key slot, so concurrent
+/// requesters of one key block on the same [`OnceLock`] instead of
+/// duplicating the work. A failed — or panicking — computation is
+/// memoized as failed and replayed to every later requester. The map
+/// lock is held only to find a slot, never while computing.
+struct Memo<K, V> {
+    slots: Mutex<HashMap<K, Slot<V>>>,
+    computed: AtomicU64,
+    reused: AtomicU64,
+}
 
-/// Each distinct (workload, model, machine) module is compiled exactly
-/// once; concurrent requesters block on the same [`OnceLock`] rather than
-/// duplicating the work. A failed — or panicking — compile is memoized as
-/// failed, so dependent cells skip it instead of re-running (or
-/// re-panicking) it.
-///
-/// Compiles are additionally split at the [`Pipeline::front`] /
-/// [`Pipeline::finish`] seam: the front half (including the profiling
-/// emulation run, the most expensive pass for emulation-heavy workloads)
-/// depends only on the workload, so it runs once per workload and every
-/// (model, machine) compile shares it.
-struct CompileCache {
-    slots: Mutex<HashMap<CompileKey, CompileSlot>>,
-    fronts: Mutex<HashMap<usize, FrontSlot>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    front_computes: AtomicU64,
-    front_reuses: AtomicU64,
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Memo<K, V> {
+        Memo {
+            slots: Mutex::default(),
+            computed: AtomicU64::default(),
+            reused: AtomicU64::default(),
+        }
+    }
+}
+
+impl<K: Copy + Eq + Hash, V: Clone> Memo<K, V> {
+    /// The value for `key`, running `compute` only if no requester has.
+    /// `compute` must contain its own panics (see [`contained`]), so the
+    /// slot is always filled for everyone waiting on it.
+    fn get_or(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> Result<V, CellError>,
+    ) -> Result<V, CellError> {
+        let slot = Arc::clone(lock_tolerant(&self.slots).entry(key).or_default());
+        let mut fresh = false;
+        let value = slot.get_or_init(|| {
+            fresh = true;
+            compute()
+        });
+        let counter = if fresh { &self.computed } else { &self.reused };
+        counter.fetch_add(1, Ordering::Relaxed);
+        value.clone()
+    }
+
+    /// Drops a memoized *failure* for `key` so a retry recomputes it.
+    /// Successful slots are kept: concurrent holders stay valid, and
+    /// nothing succeeded that a retry should redo.
+    fn forget_failed(&self, key: K) {
+        let mut slots = lock_tolerant(&self.slots);
+        if slots
+            .get(&key)
+            .and_then(|s| s.get())
+            .is_some_and(Result::is_err)
+        {
+            slots.remove(&key);
+        }
+    }
+
+    /// The successfully computed value for `key`, if there is one.
+    fn get(&self, key: K) -> Option<V> {
+        let slot = Arc::clone(lock_tolerant(&self.slots).get(&key)?);
+        let value = slot.get()?.as_ref().ok().cloned();
+        value
+    }
 }
 
 pub(crate) fn stage_of(e: &PipelineError) -> FailureStage {
@@ -611,46 +669,32 @@ fn contained<T>(
     }
 }
 
+/// Runs one compile step with its panics contained and charged to the
+/// compile stage, so the memo slot it fills is filled even on a panic.
+fn compile_step<T>(step: impl FnOnce() -> Result<T, PipelineError>) -> Result<T, CellError> {
+    contained(catch_cell(step), FailureStage::Compile)
+}
+
+/// The compile cache: three [`Memo`] levels split at the two seams where
+/// a compile stops depending on less. The front half ([`Pipeline::front`]:
+/// frontend, pre-formation optimization and the profiling run) depends
+/// only on the workload; formation, conversion and post optimization on
+/// the (workload, model); list scheduling alone on the machine. So each
+/// workload is profiled once, each (workload, model) formed once, and
+/// each (workload, model, machine) unit scheduled and decoded once. A
+/// failure at any level is memoized there and replayed to every unit
+/// that depends on it, with the stage and payload it failed with.
+#[derive(Default)]
+struct CompileCache {
+    fronts: Memo<usize, Arc<FrontOutput>>,
+    formations: Memo<(usize, Model), Arc<Formed>>,
+    units: Memo<CompileKey, CompiledUnit>,
+}
+
 impl CompileCache {
-    fn new() -> CompileCache {
-        CompileCache {
-            slots: Mutex::new(HashMap::new()),
-            fronts: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            front_computes: AtomicU64::new(0),
-            front_reuses: AtomicU64::new(0),
-        }
-    }
-
-    /// The front half for workload index `w`, computed once per workload.
-    fn get_or_front(
-        &self,
-        workload: usize,
-        w: &Workload,
-        pipe: &Pipeline,
-    ) -> Result<Arc<FrontOutput>, CellError> {
-        let slot = {
-            let mut fronts = lock_tolerant(&self.fronts);
-            Arc::clone(fronts.entry(workload).or_default())
-        };
-        let mut fresh = false;
-        let front = slot.get_or_init(|| {
-            fresh = true;
-            contained(
-                catch_cell(|| pipe.front(&w.source, &w.args)),
-                FailureStage::Compile,
-            )
-            .map(Arc::new)
-        });
-        if fresh {
-            self.front_computes.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.front_reuses.fetch_add(1, Ordering::Relaxed);
-        }
-        front.clone()
-    }
-
+    /// The unit for `key`: its (workload, model) formation scheduled for
+    /// `machine`, the formation itself formed from the workload's front
+    /// half. Each level runs at most once per key.
     fn get_or_compile(
         &self,
         key: CompileKey,
@@ -658,64 +702,27 @@ impl CompileCache {
         w: &Workload,
         pipe: &Pipeline,
     ) -> Result<CompiledUnit, CellError> {
-        let cell = {
-            let mut slots = lock_tolerant(&self.slots);
-            Arc::clone(slots.entry(key).or_default())
-        };
-        let mut fresh = false;
-        let module = cell.get_or_init(|| {
-            fresh = true;
-            // The shared front half: once per workload, then each
-            // (model, machine) runs only formation → scheduling. A failed
-            // front (frontend error, profiling fault, injected panic) is
-            // memoized once and replayed to every dependent key.
-            let front = self.get_or_front(key.workload, w, pipe)?;
-            // Panics inside the pipeline are contained *here* so the slot
-            // is still initialized (as failed) for everyone waiting on it.
-            let module = Arc::new(contained(
-                catch_cell(|| pipe.finish(&front, key.model, machine)),
-                FailureStage::Compile,
-            )?);
+        self.units.get_or(key, || {
+            let formed = self.formations.get_or((key.workload, key.model), || {
+                let front = self.fronts.get_or(key.workload, || {
+                    compile_step(|| pipe.front(&w.source, &w.args)).map(Arc::new)
+                })?;
+                compile_step(|| pipe.form(&front, key.model)).map(Arc::new)
+            })?;
+            let module = Arc::new(compile_step(|| {
+                pipe.schedule(Formed::clone(&formed), machine)
+            })?);
             let decoded = Arc::new(DecodedModule::decode(&module));
             Ok(CompiledUnit { module, decoded })
-        });
-        if fresh {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        module.clone()
+        })
     }
 
-    /// Drops memoized *failures* for `key` (and its workload's front half)
-    /// so a retry actually recompiles instead of replaying the memo.
-    /// Successful slots are kept: concurrent holders of the old `Arc`s
-    /// stay valid, and nothing succeeded that a retry should redo.
+    /// Drops memoized failures at every level `key` depends on, so a
+    /// retry recomputes instead of replaying a memo.
     fn forget_failed(&self, key: CompileKey) {
-        let mut slots = lock_tolerant(&self.slots);
-        if slots
-            .get(&key)
-            .and_then(|s| s.get())
-            .is_some_and(Result::is_err)
-        {
-            slots.remove(&key);
-        }
-        drop(slots);
-        let mut fronts = lock_tolerant(&self.fronts);
-        if fronts
-            .get(&key.workload)
-            .and_then(|s| s.get())
-            .is_some_and(Result::is_err)
-        {
-            fronts.remove(&key.workload);
-        }
-    }
-
-    /// The successfully compiled module for `key`, if the cache holds one.
-    fn module_of(&self, key: CompileKey) -> Option<Arc<Module>> {
-        let slot = Arc::clone(lock_tolerant(&self.slots).get(&key)?);
-        let module = slot.get()?.as_ref().ok().map(|u| Arc::clone(&u.module));
-        module
+        self.units.forget_failed(key);
+        self.formations.forget_failed((key.workload, key.model));
+        self.fronts.forget_failed(key.workload);
     }
 }
 
@@ -966,7 +973,7 @@ pub fn run_matrix(
             .collect()
     });
 
-    let cache = CompileCache::new();
+    let cache = CompileCache::default();
     let log = FailureLog::new(cfg.policy);
     let next = AtomicUsize::new(0);
     let interrupted = AtomicBool::new(false);
@@ -1208,8 +1215,8 @@ pub fn run_matrix(
                             // both sides ran; its bundle gets the module
                             // straight from the compile cache.
                             let cell = Cell::Model { e, w, m };
-                            if let Some(module) = cache.module_of(key_of(cell, exps)) {
-                                LAST_MODULE.with(|slot| *slot.borrow_mut() = Some(module));
+                            if let Some(unit) = cache.units.get(key_of(cell, exps)) {
+                                LAST_MODULE.with(|slot| *slot.borrow_mut() = Some(unit.module));
                             }
                             emit_triage(cell, FailureStage::Simulate, &failure.payload, 1);
                             failures.push(failure.clone());
@@ -1244,13 +1251,15 @@ pub fn run_matrix(
     let stats = EngineStats {
         threads,
         wall: started.elapsed(),
-        compile_hits: cache.hits.load(Ordering::Relaxed),
-        compile_misses: cache.misses.load(Ordering::Relaxed),
+        compile_hits: cache.units.reused.load(Ordering::Relaxed),
+        compile_misses: cache.units.computed.load(Ordering::Relaxed),
         baseline_sims,
         baseline_reuses: (exps.len().saturating_sub(1) as u64) * baseline_sims,
         model_sims: cells.len() as u64 - baseline_sims,
-        front_computes: cache.front_computes.load(Ordering::Relaxed),
-        front_reuses: cache.front_reuses.load(Ordering::Relaxed),
+        front_computes: cache.fronts.computed.load(Ordering::Relaxed),
+        front_reuses: cache.fronts.reused.load(Ordering::Relaxed),
+        form_computes: cache.formations.computed.load(Ordering::Relaxed),
+        form_reuses: cache.formations.reused.load(Ordering::Relaxed),
         journal_hits: journal_hits.load(Ordering::Relaxed),
         journal_appends: journal_appends.load(Ordering::Relaxed),
         retries: retries.load(Ordering::Relaxed),
@@ -1270,7 +1279,7 @@ pub fn run_matrix(
 
 /// One self-contained compile-and-simulate request: everything a client
 /// has to say to get a [`SimStats`] back. This is the daemon's unit of
-/// work — unlike the matrix engine's [`Cell`], it carries its own source
+/// work — unlike a cell of [`run_matrix`], it carries its own source
 /// text and machine parameters instead of indexing into a preloaded
 /// workload/experiment table.
 #[derive(Debug, Clone, PartialEq)]
@@ -1419,7 +1428,7 @@ pub fn request_fingerprint(req: &CellRequest, pipe: &Pipeline, degrade: bool) ->
 }
 
 /// Runs one [`CellRequest`] end to end with the engine's full containment
-/// stack: parameter validation, per-attempt panic capture ([`catch_cell`]),
+/// stack: parameter validation, per-attempt panic capture,
 /// bounded retries of transient failures, the cooperative wall-clock
 /// deadline, and (optionally) the budget-degradation ladder. A
 /// pathological input degrades or fails *this request* — never the
@@ -1581,7 +1590,9 @@ mod tests {
     /// Pins the content address of one matrix cell and one service
     /// request to the hex keys existing run journals and daemon stores
     /// were written under: a change here orphans every stored result, so
-    /// it must be deliberate (and visible in review).
+    /// it must be deliberate (and visible in review). The pipeline is the
+    /// checked one whatever the build profile: `Pipeline::default()`
+    /// turns checks off in release, and the keys hash the whole config.
     #[test]
     fn content_keys_are_pinned() {
         let source = "int main(int n) { return n + 1; }";
@@ -1592,7 +1603,10 @@ mod tests {
             args: vec![41],
         };
         let exps = [Experiment::fig8(), Experiment::fig11()];
-        let pipe = Pipeline::default();
+        let pipe = Pipeline {
+            checks: true,
+            ..Pipeline::default()
+        };
         let key = |cell| params_of(cell, &exps).key(&pipe, wl.name, &wl.source, &wl.args);
         assert_eq!(key(Cell::Baseline { w: 0 }), "afbb001ff8dae874");
         assert_eq!(key(Cell::Model { e: 1, w: 0, m: 2 }), "36c2ed384df6cebf");

@@ -504,15 +504,28 @@ fn sabotage_module(module: &mut Module) {
 /// Everything up to region formation depends only on the source and the
 /// training arguments, so this output is byte-identical across all
 /// (model, machine) combinations of one workload. Drivers that compile a
-/// workload many times — the matrix engine compiles each one up to ten
-/// times across the figures — compute this once with [`Pipeline::front`]
-/// and fan it out through [`Pipeline::finish`].
+/// workload many times — the matrix engine schedules each one for up to
+/// ten (model, machine) pairs across the figures, from three formed
+/// modules — compute this once with [`Pipeline::front`] and fan it out
+/// through [`Pipeline::finish`].
 #[derive(Debug, Clone)]
 pub struct FrontOutput {
     /// The optimized pre-formation module (unpredicated, basic blocks).
     pub module: Module,
     /// The training-run profile that drives region formation.
     pub profile: Profiler,
+}
+
+/// A module formed, converted and post-optimized for one model but not
+/// yet scheduled: everything [`Pipeline::finish`] does before it reads
+/// the machine. One `Formed` serves every machine its model is scheduled
+/// for.
+#[derive(Debug, Clone)]
+pub(crate) struct Formed {
+    /// The formed module, checked clean by every formation checkpoint.
+    pub(crate) module: Module,
+    /// The model it was formed for.
+    pub(crate) model: Model,
 }
 
 impl Pipeline {
@@ -591,6 +604,10 @@ impl Pipeline {
     /// optimization, and scheduling. `front` is not consumed — the same
     /// front half fans out to every (model, machine) combination.
     ///
+    /// Only the last step, list scheduling, reads `machine`; the matrix
+    /// engine forms each (workload, model) once and schedules that module
+    /// per machine, with the same result.
+    ///
     /// # Errors
     /// Fails if a semantic checkpoint rejects a pass's output.
     pub fn finish(
@@ -599,6 +616,14 @@ impl Pipeline {
         model: Model,
         machine: &MachineConfig,
     ) -> Result<Module, PipelineError> {
+        self.schedule(self.form(front, model)?, machine)
+    }
+
+    /// The machine-independent part of [`Pipeline::finish`]: region
+    /// formation, the relations check, promotion, unrolling, partial
+    /// conversion and post optimization, each followed by its checkpoint.
+    /// Every [`PipelineError::Budget`] comes from here.
+    pub(crate) fn form(&self, front: &FrontOutput, model: Model) -> Result<Formed, PipelineError> {
         let mut module = front.module.clone();
         let prof = &front.profile;
         let mut ck = Checkpointer::new(self, model);
@@ -665,6 +690,25 @@ impl Pipeline {
             hyperpred_opt::optimize_module(&mut module);
             ck.check(&mut module, Stage::OptPost)?;
         }
+        Ok(Formed { module, model })
+    }
+
+    /// The machine-dependent rest of [`Pipeline::finish`]: list scheduling
+    /// for `machine` and its checkpoint. The checkpointer is seeded with
+    /// what the last [`Pipeline::form`] checkpoint hands over: the model
+    /// class (partial after conversion) and a speculation snapshot of the
+    /// formed module.
+    pub(crate) fn schedule(
+        &self,
+        formed: Formed,
+        machine: &MachineConfig,
+    ) -> Result<Module, PipelineError> {
+        let Formed { mut module, model } = formed;
+        let mut ck = Checkpointer::new(self, model);
+        ck.converted = model == Model::CondMove;
+        if self.checks {
+            ck.spec = Some(Snapshot::of(&module));
+        }
         schedule_module(&mut module, machine)?;
         ck.check(&mut module, Stage::Schedule)?;
         if self.fault_injection
@@ -695,7 +739,8 @@ impl Pipeline {
     /// actually tripped is disabled per step, so a well-behaved program
     /// never loses a transformation it could afford. Non-budget errors
     /// propagate unchanged; a budget that trips again after its pass was
-    /// already disabled is returned as the permanent failure.
+    /// already disabled is returned as the permanent failure. Budgets only
+    /// bound formation, so the ladder re-forms and schedules once.
     ///
     /// # Errors
     /// Same as [`Pipeline::finish`] for non-budget failures, or the final
@@ -708,9 +753,9 @@ impl Pipeline {
     ) -> Result<(Module, Degradation), PipelineError> {
         let mut pipe = *self;
         let mut disabled: Vec<Stage> = Vec::new();
-        loop {
-            match pipe.finish(front, model, machine) {
-                Ok(module) => return Ok((module, Degradation { disabled })),
+        let formed = loop {
+            match pipe.form(front, model) {
+                Ok(formed) => break formed,
                 Err(PipelineError::Budget {
                     pass,
                     metric,
@@ -742,7 +787,8 @@ impl Pipeline {
                 }
                 Err(e) => return Err(e),
             }
-        }
+        };
+        Ok((pipe.schedule(formed, machine)?, Degradation { disabled }))
     }
 }
 

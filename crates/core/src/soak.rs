@@ -27,7 +27,7 @@
 //! Failures are contained per program (panics included, via the matrix
 //! engine's capture hook), normalized to a signature, and emitted as
 //! repro bundles through [`crate::triage`]; `hyperpredc repro` replays
-//! soak bundles through this module's [`replay_cell`], which re-runs the
+//! soak bundles through this module's `replay_cell`, which re-runs the
 //! same oracle battery — so even cross-model divergences minimize.
 //!
 //! Completed programs are journaled in a [`Store`] directory under the
@@ -58,7 +58,7 @@ use std::path::PathBuf;
 
 /// The experiment name soak stamps into journals and repro bundles.
 /// [`triage::replay`] routes cells with this experiment back through
-/// [`replay_cell`], so oracle failures replay under the oracle battery.
+/// `replay_cell`, so oracle failures replay under the oracle battery.
 pub const SOAK_EXPERIMENT: &str = "soak";
 
 /// Soak-run parameters.

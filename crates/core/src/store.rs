@@ -28,7 +28,7 @@
 //! Each segment holds [record lines](crate::journal) (meta line first,
 //! one checksummed `cell` record per line), and every reader — loading,
 //! [`Store::compact`] and `fsck` — classifies them with the one
-//! [`parse_cell_line`]: a torn trailing line is expected damage,
+//! `parse_cell_line`: a torn trailing line is expected damage,
 //! mid-file garbage or a checksum-failing line is counted as corruption
 //! and never served. An old single-file run journal loads unchanged as
 //! a segment (`seg-0.jsonl`).

@@ -7,7 +7,8 @@
 //! the CI figures smoke job and the `figures` binary.
 
 use hyperpred::{
-    run_matrix, run_workload, BenchResult, EngineStats, Experiment, MatrixConfig, Model, Pipeline,
+    run_matrix, run_workload, BenchResult, EngineStats, Experiment, FailurePayload, FailurePolicy,
+    FailureStage, MatrixConfig, Model, Pipeline, PipelineError, Stage,
 };
 use hyperpred_workloads::{all, by_name, Scale, Workload};
 
@@ -169,10 +170,13 @@ fn full_suite_matrix_matches_serial() {
     }
 
     // The model-independent front half is computed once per workload and
-    // reused by the other three compiles (baseline + remaining models).
+    // reused by its other two formations. The baseline and the Superblock
+    // cell share one formation, scheduled for two machines.
     let w = wls.len() as u64;
     assert_eq!(stats.front_computes, w);
-    assert_eq!(stats.front_reuses, 3 * w);
+    assert_eq!(stats.front_reuses, 2 * w);
+    assert_eq!(stats.form_computes, 3 * w);
+    assert_eq!(stats.form_reuses, w);
 }
 
 #[test]
@@ -190,6 +194,10 @@ fn caches_deduplicate_compiles_and_baselines() {
     // Distinct compiles per workload: baseline + fig8's three models
     // (fig11 fully reuses fig8's modules).
     assert_eq!(stats.compile_misses, 4 * w);
+    // Those four compiles come from three formations: the baseline
+    // schedules the Superblock formation for the 1-issue machine.
+    assert_eq!(stats.form_computes, 3 * w);
+    assert_eq!(stats.form_reuses, w);
     // The denominator is simulated once per workload, not once per figure.
     assert_eq!(stats.baseline_sims, w);
     assert_eq!(stats.baseline_reuses, (exps.len() as u64 - 1) * w);
@@ -201,4 +209,111 @@ fn caches_deduplicate_compiles_and_baselines() {
     );
     // Cache counters must show real reuse for the acceptance criterion.
     assert!(stats.compile_hits > 0);
+}
+
+/// Figures 8, 9 and 10 schedule for three different machines, so every
+/// (workload, model) formation is scheduled three times (the Superblock
+/// one four, counting the baseline): the matrix must still equal the
+/// serial path cell for cell, forming each (workload, model) once.
+#[test]
+fn formations_are_shared_across_machines() {
+    let pipe = Pipeline::default();
+    let exps = [Experiment::fig8(), Experiment::fig9(), Experiment::fig10()];
+    let wls = workloads();
+    let serial: Vec<Vec<BenchResult>> = exps
+        .iter()
+        .map(|exp| {
+            wls.iter()
+                .map(|w| run_workload(w, exp, &pipe).expect("serial cell"))
+                .collect()
+        })
+        .collect();
+
+    let w = wls.len() as u64;
+    for threads in [1, 3] {
+        let (figures, stats) = run_clean(&exps, &wls, &pipe, threads);
+        for (fig, ser) in figures.iter().zip(&serial) {
+            for (a, b) in fig.iter().zip(ser) {
+                assert_same(a, b, &format!("{threads} thread(s) vs serial"));
+            }
+        }
+        // Ten units per workload (the baseline plus three machines times
+        // three models), formed from three formations and one front half.
+        assert_eq!(stats.compile_misses, 10 * w);
+        assert_eq!(stats.form_computes, 3 * w);
+        assert_eq!(stats.form_reuses, 7 * w);
+        assert_eq!(stats.front_computes, w);
+        assert_eq!(stats.front_reuses, 2 * w);
+    }
+}
+
+/// A formation that fails is memoized once and replayed to its model's
+/// cells on every machine, with the same payload; the models that never
+/// reach the failing pass are untouched.
+#[test]
+fn failed_formation_is_memoized_per_model() {
+    let pipe = Pipeline {
+        checks: true,
+        sabotage: Some(Stage::Promote),
+        ..Pipeline::default()
+    };
+    let exps = [Experiment::fig8(), Experiment::fig9()];
+    let wls = workloads();
+    let run = run_matrix(
+        &exps,
+        &wls,
+        &pipe,
+        &MatrixConfig {
+            threads: 2,
+            policy: FailurePolicy::KeepGoing,
+            ..MatrixConfig::default()
+        },
+    );
+    let w = wls.len() as u64;
+    assert_eq!(run.stats.form_computes, 3 * w, "failures included");
+
+    // Only the predicated models run promotion: each of their cells, on
+    // both machines, fails with its formation's lint error.
+    let failures = &run.report.failures;
+    assert_eq!(failures.len(), 2 * exps.len() * wls.len());
+    for f in failures {
+        let model = f.model.expect("model cell");
+        assert!(matches!(model, Model::CondMove | Model::FullPred), "{f}");
+        assert_eq!(f.stage, FailureStage::Compile, "{f}");
+        assert!(
+            matches!(
+                &f.payload,
+                FailurePayload::Error(PipelineError::Lint(e)) if e.pass == Stage::Promote
+            ),
+            "{f}"
+        );
+        assert!(f.to_string().contains("after pass `promote`"), "{f}");
+        // One formation, one error: the same payload on every machine.
+        let first = failures
+            .iter()
+            .find(|g| g.workload == f.workload && g.model == f.model)
+            .expect("f itself matches");
+        assert_eq!(f.payload.to_string(), first.payload.to_string());
+    }
+
+    // The baseline and every Superblock cell completed.
+    for wl in &wls {
+        let done = |model: Option<Model>| {
+            run.stats
+                .cells
+                .iter()
+                .filter(|c| c.workload == wl.name && c.model == model)
+                .count()
+        };
+        assert_eq!(done(None), 1, "{}: baseline", wl.name);
+        assert_eq!(
+            done(Some(Model::Superblock)),
+            exps.len(),
+            "{}: Superblock",
+            wl.name
+        );
+    }
+    assert!(failures
+        .iter()
+        .all(|f| f.model.is_some_and(|m| m != Model::Superblock)));
 }

@@ -1,6 +1,6 @@
 //! Pre-decoding of IR into flat, fixed-width op streams.
 //!
-//! Walking [`Inst`] structs per fetched instruction costs an enum-payload
+//! Walking [`Inst`](hyperpred_ir::Inst) structs per fetched instruction costs an enum-payload
 //! match, an `Option<Reg>` unwrap, and a `Vec<Operand>` indirection on
 //! every dynamic instruction. [`DecodedModule::decode`] pays those costs
 //! once per *static* instruction instead: each function becomes one flat

@@ -102,7 +102,7 @@ pub enum EmuError {
         reason: &'static str,
     },
     /// The trace sink asked the run to stop (see
-    /// [`TraceSink::aborted`](crate::TraceSink::aborted)); used by cycle
+    /// [`TraceSink::aborted`]); used by cycle
     /// watchdogs in the timing simulator.
     SinkAbort {
         /// Where it happened.

@@ -230,7 +230,7 @@ const F_FAST: u8 = 64;
 ///
 /// This sink receives one [`Event`] per fetched instruction — hundreds of
 /// millions per full-scale sweep — so everything the hot path needs per
-/// event is pre-baked in [`CycleSim::new`] into one flat [`InstInfo`]
+/// event is pre-baked in [`CycleSim::new`] into one flat `InstInfo`
 /// record per *static* instruction, found by
 /// `info[inst_base[block_off[func] + block] + index]`. Every per-event
 /// lookup is a dense-array read: no hashing, no allocation, no enum

@@ -10,8 +10,8 @@
 
 use hyperpred::partial::PartialConfig;
 use hyperpred::sched::MachineConfig;
-use hyperpred::sim::SimConfig;
-use hyperpred::{evaluate, speedup, Model, Pipeline};
+use hyperpred::sim::{SimConfig, DEFAULT_CYCLE_LIMIT};
+use hyperpred::{evaluate, speedup, CellSpec, Model, Pipeline};
 use hyperpred_workloads::{by_name, Scale};
 
 fn main() {
@@ -20,12 +20,13 @@ fn main() {
     let sim = SimConfig::default();
     let pipe = Pipeline::default();
 
+    let denom = CellSpec::baseline(DEFAULT_CYCLE_LIMIT);
     let base = evaluate(
         &w.source,
         &w.args,
-        Model::Superblock,
-        MachineConfig::one_issue(),
-        sim,
+        denom.compiled_model(),
+        denom.machine(),
+        denom.sim(),
         &pipe,
     )
     .unwrap();

@@ -6,8 +6,8 @@
 
 use hyperpred::ir::PredType;
 use hyperpred::sched::MachineConfig;
-use hyperpred::sim::SimConfig;
-use hyperpred::{evaluate, speedup, Model, Pipeline};
+use hyperpred::sim::{SimConfig, DEFAULT_CYCLE_LIMIT};
+use hyperpred::{evaluate, speedup, CellSpec, Model, Pipeline};
 
 const SRC: &str = "
 // A branchy kernel: per-element classification with unbalanced paths.
@@ -56,12 +56,14 @@ fn main() {
     let pipe = Pipeline::default();
     let sim = SimConfig::default();
     let args = [7i64];
+    // The paper's denominator, as every figure defines it.
+    let denom = CellSpec::baseline(DEFAULT_CYCLE_LIMIT);
     let base = evaluate(
         SRC,
         &args,
-        Model::Superblock,
-        MachineConfig::one_issue(),
-        sim,
+        denom.compiled_model(),
+        denom.machine(),
+        denom.sim(),
         &pipe,
     )
     .expect("baseline");

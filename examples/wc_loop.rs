@@ -11,8 +11,8 @@
 //! Run with `cargo run --release --example wc_loop`.
 
 use hyperpred::sched::MachineConfig;
-use hyperpred::sim::SimConfig;
-use hyperpred::{evaluate, speedup, Model, Pipeline};
+use hyperpred::sim::{SimConfig, DEFAULT_CYCLE_LIMIT};
+use hyperpred::{evaluate, speedup, CellSpec, Model, Pipeline};
 use hyperpred_workloads::{by_name, Scale};
 
 fn main() {
@@ -35,12 +35,13 @@ fn main() {
 
     // ---- whole-benchmark speedups (the Fig. 5 caption numbers) -----------
     let sim = SimConfig::default();
+    let denom = CellSpec::baseline(DEFAULT_CYCLE_LIMIT);
     let base = evaluate(
         &w.source,
         &w.args,
-        Model::Superblock,
-        MachineConfig::one_issue(),
-        sim,
+        denom.compiled_model(),
+        denom.machine(),
+        denom.sim(),
         &pipe,
     )
     .unwrap();
