@@ -751,6 +751,18 @@ impl Pipeline {
         model: Model,
         machine: &MachineConfig,
     ) -> Result<(Module, Degradation), PipelineError> {
+        let (formed, degradation) = self.form_degraded(front, model)?;
+        Ok((self.schedule(formed, machine)?, degradation))
+    }
+
+    /// The ladder of [`Pipeline::finish_degraded`] over [`Pipeline::form`]
+    /// alone: what it had to disable is machine-independent, so one
+    /// degraded formation serves every machine its model is scheduled for.
+    pub(crate) fn form_degraded(
+        &self,
+        front: &FrontOutput,
+        model: Model,
+    ) -> Result<(Formed, Degradation), PipelineError> {
         let mut pipe = *self;
         let mut disabled: Vec<Stage> = Vec::new();
         let formed = loop {
@@ -788,7 +800,7 @@ impl Pipeline {
                 Err(e) => return Err(e),
             }
         };
-        Ok((pipe.schedule(formed, machine)?, Degradation { disabled }))
+        Ok((formed, Degradation { disabled }))
     }
 }
 

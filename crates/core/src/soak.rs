@@ -3,10 +3,10 @@
 //!
 //! `hyperpredc soak` drives the seeded MiniC generator
 //! ([`hyperpred_workloads::gen`]) through the full pipeline: every
-//! generated program is compiled under all three execution models at
-//! several machine widths (with the [`Pipeline::finish_degraded`]
-//! degradation ladder, so budget-tripping pathological inputs fall back
-//! instead of failing), emulated, and simulated, and a battery of
+//! generated program is formed once per execution model (with the
+//! [`Pipeline::finish_degraded`] degradation ladder, so budget-tripping
+//! pathological inputs fall back instead of failing), scheduled for
+//! several machine widths, emulated, and simulated, and a battery of
 //! end-to-end oracles is enforced per configuration:
 //!
 //! * **Differential emulation** — the pre-decoded emulator and the
@@ -41,7 +41,7 @@
 use crate::experiments::CellSpec;
 use crate::journal::JournalEntry;
 use crate::matrix::{catch_cell, stage_of, FailurePayload, FailureStage};
-use crate::pipeline::{FrontOutput, Model, Pipeline, PipelineError, Stage};
+use crate::pipeline::{Degradation, Formed, FrontOutput, Model, Pipeline, PipelineError, Stage};
 use crate::predoracle::{PredClaims, PredOracleSink};
 use crate::store::Store;
 use crate::triage::{self, ReproCell, TriageConfig};
@@ -135,6 +135,11 @@ pub struct SoakReport {
     pub skipped: usize,
     /// Programs that needed the degradation ladder to finish a compile.
     pub degraded: usize,
+    /// Modules formed (region formation through post optimization): one
+    /// per model a program reached.
+    pub formed: usize,
+    /// Formed modules scheduled: one per configuration a program reached.
+    pub scheduled: usize,
     /// Permanent failures, in discovery order.
     pub failures: Vec<SoakFailure>,
     /// True when `cell_limit` stopped the run early.
@@ -257,7 +262,44 @@ fn oracle(workload: &str, model: Model, check: &'static str, detail: String) -> 
     }
 }
 
-/// Compiles `spec`'s configuration (with the degradation ladder), runs the
+/// One program's formations, one slot per model ([`Model::index`]). A
+/// model is formed, with the degradation ladder, at its first
+/// configuration, so a formation failure is charged to that
+/// configuration, and then scheduled for every width, as the matrix
+/// engine does.
+#[derive(Default)]
+struct Formations {
+    slots: [Option<(Formed, Degradation)>; 3],
+    /// Modules scheduled from these formations.
+    scheduled: usize,
+}
+
+impl Formations {
+    /// `spec`'s module, and whether its formation degraded.
+    fn compile(
+        &mut self,
+        pipe: &Pipeline,
+        front: &FrontOutput,
+        spec: &CellSpec,
+    ) -> Result<(Module, bool), PipelineError> {
+        let model = spec.compiled_model();
+        let slot = &mut self.slots[model.index()];
+        if slot.is_none() {
+            *slot = Some(pipe.form_degraded(front, model)?);
+        }
+        let (formed, deg) = slot.as_ref().expect("formed above");
+        let module = pipe.schedule(formed.clone(), &spec.machine())?;
+        self.scheduled += 1;
+        Ok((module, deg.is_degraded()))
+    }
+
+    /// Modules formed so far.
+    fn formed(&self) -> usize {
+        self.slots.iter().flatten().count()
+    }
+}
+
+/// Compiles `spec`'s configuration from the program's `forms`, runs the
 /// decoded and reference emulators differentially, simulates, and checks
 /// every single-config oracle. Returns the stats, the architectural
 /// observations (for the caller's cross-model comparison), and whether
@@ -265,6 +307,7 @@ fn oracle(workload: &str, model: Model, check: &'static str, detail: String) -> 
 fn run_config(
     pipe: &Pipeline,
     front: &FrontOutput,
+    forms: &mut Formations,
     spec: &CellSpec,
     workload: &str,
     args: &[i64],
@@ -276,7 +319,7 @@ fn run_config(
     // Soak's pipeline carries the run's fuel (`pipe_for`); the
     // differential runs spend the same budget as the profiling run.
     let (model, machine, fuel) = (spec.compiled_model(), spec.machine(), pipe.profile_fuel);
-    let (module, deg) = pipe.finish_degraded(front, model, &machine)?;
+    let (module, degraded) = forms.compile(pipe, front, spec)?;
     let eargs = entry_args(args);
 
     // Differential emulation: decoded vs reference, full event stream.
@@ -403,7 +446,7 @@ fn run_config(
             ret: out.ret,
             stores: decoded_sink.stores,
         },
-        deg.is_degraded(),
+        degraded,
     ))
 }
 
@@ -481,13 +524,15 @@ struct ProgramPass {
 }
 
 /// Runs the battery over one program. `current` tracks the configuration
-/// being run, so a failure (a panic included) is recorded against it.
+/// being run, so a failure (a panic included) is recorded against it;
+/// `forms` keeps what was compiled, so a failed program's work counts.
 fn run_program(
     cfg: &SoakConfig,
     pipe: &Pipeline,
     prog: &GenProgram,
     module_slot: &RefCell<Option<Module>>,
     current: &RefCell<CellSpec>,
+    forms: &mut Formations,
 ) -> Result<ProgramPass, PipelineError> {
     let front = pipe.front(&prog.source, &prog.args)?;
 
@@ -496,6 +541,7 @@ fn run_program(
     let (base_stats, base_obs, base_deg) = run_config(
         pipe,
         &front,
+        forms,
         &reference,
         &prog.name,
         &prog.args,
@@ -519,8 +565,15 @@ fn run_program(
                 continue; // this is the reference run itself
             }
             *current.borrow_mut() = spec.clone();
-            let (stats, obs, deg) =
-                run_config(pipe, &front, &spec, &prog.name, &prog.args, module_slot)?;
+            let (stats, obs, deg) = run_config(
+                pipe,
+                &front,
+                forms,
+                &spec,
+                &prog.name,
+                &prog.args,
+                module_slot,
+            )?;
             check_against_baseline(&prog.name, model, &obs, &base_obs)?;
             pass = ProgramPass {
                 stats,
@@ -578,8 +631,12 @@ pub fn run_soak(cfg: &SoakConfig) -> io::Result<SoakReport> {
             model: None,
             ..reference(cfg.max_cycles)
         });
-        let caught = catch_cell(|| run_program(cfg, &pipe, &prog, &module_slot, &current));
+        let mut forms = Formations::default();
+        let caught =
+            catch_cell(|| run_program(cfg, &pipe, &prog, &module_slot, &current, &mut forms));
         report.ran += 1;
+        report.formed += forms.formed();
+        report.scheduled += forms.scheduled;
 
         let payload = match caught {
             Ok(Ok(pass)) => {
@@ -656,10 +713,12 @@ pub(crate) fn replay_cell(cell: &ReproCell, source: &str) -> Option<String> {
     let caught = catch_cell(|| -> Result<(), PipelineError> {
         let pipe = pipe_for(cell.sabotage, SoakConfig::new(0, 0).fuel);
         let front = pipe.front(source, &cell.args)?;
+        let mut forms = Formations::default();
         let reference = reference(cell.spec.max_cycles);
         let (_, base_obs, _) = run_config(
             &pipe,
             &front,
+            &mut forms,
             &reference,
             &cell.workload,
             &cell.args,
@@ -670,6 +729,7 @@ pub(crate) fn replay_cell(cell: &ReproCell, source: &str) -> Option<String> {
                 let (_, obs, _) = run_config(
                     &pipe,
                     &front,
+                    &mut forms,
                     &cell.spec,
                     &cell.workload,
                     &cell.args,

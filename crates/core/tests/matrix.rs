@@ -6,11 +6,14 @@
 //! debug-build suite stays fast; the full suite runs through the engine in
 //! the CI figures smoke job and the `figures` binary.
 
+use hyperpred::sched::MachineConfig;
 use hyperpred::{
     run_matrix, run_workload, BenchResult, EngineStats, Experiment, FailurePayload, FailurePolicy,
     FailureStage, MatrixConfig, Model, Pipeline, PipelineError, Stage,
 };
+use hyperpred_workloads::gen::{generate, Profile};
 use hyperpred_workloads::{all, by_name, Scale, Workload};
+use std::collections::BTreeSet;
 
 /// Runs the matrix on `threads` workers and returns its tables plus the
 /// engine counters; every cell must succeed.
@@ -316,4 +319,26 @@ fn failed_formation_is_memoized_per_model() {
     assert!(failures
         .iter()
         .all(|f| f.model.is_some_and(|m| m != Model::Superblock)));
+}
+
+/// Every pass is deterministic: one (program, model, machine) compiles to
+/// one module however often it is compiled. Cells share compiles, and the
+/// store quarantines a key whose two writes disagree, so nothing may
+/// depend on a hasher's random keys. `gen-nasty-7` is the program whose
+/// if-converted predicate defines once paired up in hash-map order.
+#[test]
+fn repeated_compiles_print_one_module() {
+    let prog = generate(Profile::Nasty, 7);
+    let pipe = Pipeline::default();
+    let machine = MachineConfig::new(8, 1);
+    for model in [Model::CondMove, Model::FullPred] {
+        let modules: BTreeSet<String> = (0..16)
+            .map(|_| {
+                pipe.compile(&prog.source, &prog.args, model, &machine)
+                    .expect("gen-nasty-7 compiles")
+                    .to_string()
+            })
+            .collect();
+        assert_eq!(modules.len(), 1, "{model}: distinct modules in 16 compiles");
+    }
 }

@@ -512,9 +512,14 @@ fn convert_region(
         }
     }
     // Defines required per (source block, side): each distinct set
-    // containing that edge contributes one typed destination.
+    // containing that edge contributes one typed destination. Sets are
+    // visited in predicate-creation (topological) order, never the map's,
+    // so which destinations share a dual-destination define is fixed.
+    let mut sets: Vec<(&Vec<(usize, bool)>, PredReg)> =
+        pred_for_set.iter().map(|(set, &p)| (set, p)).collect();
+    sets.sort_unstable_by_key(|&(_, p)| p);
     let mut defs_at: HashMap<(usize, bool), Vec<hyperpred_ir::PredDst>> = HashMap::new();
-    for (set, &p) in &pred_for_set {
+    for (set, p) in sets {
         let or_type = set.len() > 1;
         for &(u, kind) in set {
             let ty = match (or_type, kind) {

@@ -54,7 +54,7 @@ impl Block {
 /// `layout[0]` is the entry block. Fall-through flows to the next block in
 /// layout order. Blocks not present in the layout are dead (kept only until
 /// the next [`Function::remove_unreachable`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Function name (unique within the module).
     pub name: String,

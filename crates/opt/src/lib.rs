@@ -23,6 +23,12 @@
 //! [`inline`] provides pre-formation function inlining (IMPACT-style).
 //!
 //! [`optimize`] runs the pipeline to a (bounded) fixpoint.
+//!
+//! Every pass's `run` returns true iff it changed the function: the
+//! fixpoint stops at the first round no pass reports a change, so a pass
+//! that reports a change it did not make costs a whole extra round, and
+//! one that hides a change ends the fixpoint early. Debug builds hold
+//! every pass call in [`optimize`] to this against a clone of its input.
 
 pub mod cfgopt;
 pub mod dce;
@@ -33,17 +39,37 @@ pub mod relopt;
 
 use hyperpred_ir::{Function, Module};
 
+/// A pass: rewrites the function, returning true iff it changed it.
+type Pass = fn(&mut Function) -> bool;
+
+/// The fixpoint's passes, in the order each round runs them.
+const PASSES: [(&str, Pass); 5] = [
+    ("fold", fold::run),
+    ("local", local::run),
+    ("relopt", relopt::run),
+    ("dce", dce::run),
+    ("cfgopt", cfgopt::run),
+];
+
 /// Runs the full optimization pipeline on one function until no pass makes
 /// progress (bounded number of rounds).
 pub fn optimize(f: &mut Function) {
     const MAX_ROUNDS: usize = 8;
     for _ in 0..MAX_ROUNDS {
         let mut changed = false;
-        changed |= fold::run(f);
-        changed |= local::run(f);
-        changed |= relopt::run(f);
-        changed |= dce::run(f);
-        changed |= cfgopt::run(f);
+        for (name, pass) in PASSES {
+            let before = cfg!(debug_assertions).then(|| f.clone());
+            let reported = pass(f);
+            if let Some(before) = before {
+                assert_eq!(
+                    reported,
+                    *f != before,
+                    "{name} must report a change iff it changed {}",
+                    f.name
+                );
+            }
+            changed |= reported;
+        }
         if !changed {
             break;
         }

@@ -7,7 +7,8 @@
 use hyperpred_ir::{Function, Inst, Op, Operand, PredReg, Reg};
 use std::collections::HashMap;
 
-/// Runs copy propagation then CSE on every block. Returns true on change.
+/// Runs copy propagation then CSE on every block. Returns true iff some
+/// instruction leaves the pass different from how it entered it.
 pub fn run(f: &mut Function) -> bool {
     let mut changed = false;
     for &b in &f.layout.clone() {
@@ -64,13 +65,21 @@ fn block_pass(insts: &mut [Inst]) -> bool {
     let mut epoch: u64 = 0;
 
     for inst in insts.iter_mut() {
+        // What the instruction entered as, saved at its first rewrite (an
+        // untouched instruction saves nothing). The two rewrites below can
+        // cancel out: copy propagation turns `e = mov c` (after `c = mov a`)
+        // into `mov a`, and CSE turns that straight back into `mov c`. Only
+        // an instruction that leaves different counts as a change.
+        let mut entered: Option<(Op, Vec<Operand>, bool)> = None;
+        let save = |inst: &Inst| (inst.op, inst.srcs.clone(), inst.speculative);
+
         // 1. Substitute known copies into sources.
-        for s in &mut inst.srcs {
-            if let Operand::Reg(r) = *s {
+        for k in 0..inst.srcs.len() {
+            if let Operand::Reg(r) = inst.srcs[k] {
                 if let Some(&rep) = copies.get(&r) {
-                    if *s != rep {
-                        *s = rep;
-                        changed = true;
+                    if inst.srcs[k] != rep {
+                        entered.get_or_insert_with(|| save(inst));
+                        inst.srcs[k] = rep;
                     }
                 }
             }
@@ -96,14 +105,17 @@ fn block_pass(insts: &mut [Inst]) -> bool {
             };
             if let Some(&prev) = avail.get(&key) {
                 if Some(prev) != inst.dst {
+                    entered.get_or_insert_with(|| save(inst));
                     inst.op = Op::Mov;
                     inst.srcs = vec![Operand::Reg(prev)];
                     inst.speculative = false;
-                    changed = true;
                 }
             } else {
                 cse_key = Some(key);
             }
+        }
+        if let Some((op, srcs, speculative)) = entered {
+            changed |= op != inst.op || srcs != inst.srcs || speculative != inst.speculative;
         }
 
         // 3. Memory/calls advance the load epoch.
@@ -361,6 +373,28 @@ mod tests {
             .find(|i| i.dst == Some(c) && i.guard == Some(p))
             .unwrap();
         assert_eq!(second.op, Op::Add, "the first add ran under the old p");
+    }
+
+    #[test]
+    fn copy_propagation_undone_by_cse_is_no_change() {
+        let mut b = FuncBuilder::new("t");
+        let x = b.param();
+        let c = b.mov(x.into());
+        let e = b.mov(c.into());
+        let y = b.add(c.into(), Operand::Imm(1));
+        b.ret(Some(y.into()));
+        let mut f = b.finish();
+        assert!(run(&mut f), "the add now reads x");
+        // Each run turns `e = mov c` into `mov x`, and CSE turns it
+        // straight back into `mov c`, the register already holding x.
+        let copy = &f.blocks[0].insts[1];
+        assert_eq!((copy.dst, &copy.srcs), (Some(e), &vec![Operand::Reg(c)]));
+        let settled = f.clone();
+        assert!(
+            !run(&mut f),
+            "a rewrite undone in the same run is no change"
+        );
+        assert_eq!(f, settled);
     }
 
     #[test]

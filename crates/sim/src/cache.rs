@@ -86,6 +86,13 @@ impl Cache {
         }
     }
 
+    /// Counts a demand read its caller knows hits: one from the line the
+    /// previous read filled or found, with nothing touching the cache in
+    /// between. Same effect as [`Cache::read`] there, without the lookup.
+    pub(crate) fn hit(&mut self) {
+        self.hits += 1;
+    }
+
     /// Write access: write-through, no write-allocate. Never stalls
     /// (writes retire through a buffer), never fills.
     pub fn write(&mut self, addr: u64) {

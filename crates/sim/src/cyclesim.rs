@@ -216,13 +216,18 @@ const F_LD: u8 = 16;
 const F_ST: u8 = 32;
 /// Eligible for the reduced issue path: unguarded, not a branch/memory/
 /// predicate/redirect op, no partial define, at most two register
-/// sources. Only baked under perfect memory (no I-cache to model), so
-/// the fast path can skip the fetch-stall check entirely. Such an
-/// instruction can never be nullified (no guard), never carries
-/// `taken`/`mem_addr`, and writes at most one register — its complete
-/// timing effect is: interlock on two sources, take one issue slot,
-/// post the destination ready time.
+/// sources. Such an instruction can never be nullified (no guard), never
+/// carries `taken`/`mem_addr`, and writes at most one register — its
+/// complete timing effect is: interlock on two sources, take one issue
+/// slot, post the destination ready time. Baked under perfect memory,
+/// where fetch has no timing effect either.
 const F_FAST: u8 = 64;
+/// [`F_FAST`]'s class under caches (power-of-two lines): the reduced path
+/// applies when the fetch reads the I-cache line the previous fetch read.
+/// Only fetches touch the direct-mapped I-cache, so that line is still
+/// there: the fetch hits, which the fast path counts itself. Any other
+/// fetch takes the full path and its lookup.
+const F_FAST_LINE: u8 = 128;
 
 /// The in-order issue model as a trace sink.
 ///
@@ -267,6 +272,11 @@ pub struct CycleSim {
     /// Earliest cycle the next instruction may issue (fetch redirects,
     /// misprediction penalties, blocking-cache stalls).
     fetch_ready: u64,
+    /// `addr & line_mask` of the last I-cache fetch (see
+    /// [`F_FAST_LINE`]); no fetch address is `u64::MAX`, so nothing
+    /// matches before the first fetch.
+    fetch_line: u64,
+    line_mask: u64,
     /// Baked per-static-instruction timing facts, all functions flat.
     info: Vec<InstInfo>,
     /// Index into `info` of instruction 0 of each block, flat over all
@@ -332,15 +342,19 @@ impl CycleSim {
             MemoryModel::Perfect => (None, None),
             MemoryModel::Caches(c) => (Some(Cache::new(c)), Some(Cache::new(c))),
         };
+        // The fast flag for this memory model; the same-line test is a
+        // mask, so it needs power-of-two lines.
+        let (fast_flag, line_mask) = match config.memory {
+            MemoryModel::Perfect => (F_FAST, 0),
+            MemoryModel::Caches(c) if c.line.is_power_of_two() => (F_FAST_LINE, !(c.line - 1)),
+            MemoryModel::Caches(_) => (0, 0),
+        };
         // The two scoreboard dummies past the real register slots: reads
         // of absent fast-path sources hit `rd_dummy` (never written, so
         // always "ready at 0"); writes of absent fast-path destinations
         // land in `wr_dummy` (never read).
         let rd_dummy = regs as u32;
         let wr_dummy = regs as u32 + 1;
-        // F_FAST elides the fetch-stall check, so it may only be baked
-        // when there is no I-cache to model.
-        let fast_ok = icache.is_none();
         // Bake one InstInfo per static instruction: global scoreboard
         // slots, fetch address, machine latency and classification flags.
         let lat = machine.latency;
@@ -384,14 +398,14 @@ impl CycleSim {
                         pdsts.push((po + pd.reg.0, pd.ty));
                     }
                     let mut dst = inst.dst.map_or(SLOT_NONE, |d| ro + d.0);
-                    if fast_ok
+                    if fast_flag != 0
                         && flags == 0
                         && inst.guard.is_none()
                         && !inst.is_partial_reg_def()
                         && inst.pdsts.is_empty()
                         && nsrcs <= 2
                     {
-                        flags |= F_FAST;
+                        flags |= fast_flag;
                         if dst == SLOT_NONE {
                             dst = wr_dummy;
                         }
@@ -424,6 +438,8 @@ impl CycleSim {
             slots: machine.issue_width,
             branch_slots: machine.branches_per_cycle,
             fetch_ready: 0,
+            fetch_line: u64::MAX,
+            line_mask,
             info,
             inst_base,
             block_off,
@@ -452,6 +468,19 @@ impl CycleSim {
             0
         };
         defined.max(self.pred_clear_time[fk])
+    }
+
+    /// For an [`F_FAST_LINE`] fetch: true, counting the I-cache hit, when
+    /// it reads the line the previous fetch read.
+    #[inline]
+    fn same_line_hit(&mut self, addr: u64) -> bool {
+        if addr & self.line_mask != self.fetch_line {
+            return false;
+        }
+        if let Some(ic) = &mut self.icache {
+            ic.hit();
+        }
+        true
     }
 
     #[inline]
@@ -485,12 +514,14 @@ impl TraceSink for CycleSim {
         let ii = self.inst_base[self.block_off[fk] + ev.block.0 as usize] as usize + ev.index;
         let info = self.info[ii];
 
-        // Reduced path for the common case (see [`F_FAST`]): the
-        // instruction's entire timing effect is two source interlocks,
-        // one issue slot, one destination ready time. Bit-identical to
-        // the full path below, which for such an instruction does the
-        // same things plus many no-op checks.
-        if info.flags & F_FAST != 0 {
+        // Reduced path for the common case (see [`F_FAST`] and
+        // [`F_FAST_LINE`]): the instruction's entire timing effect is two
+        // source interlocks, one issue slot, one destination ready time.
+        // Bit-identical to the full path below, which for such an
+        // instruction does the same things plus many no-op checks.
+        if info.flags & F_FAST != 0
+            || (info.flags & F_FAST_LINE != 0 && self.same_line_hit(info.addr))
+        {
             let earliest = self
                 .fetch_ready
                 .max(self.reg_ready[info.s0 as usize])
@@ -522,6 +553,7 @@ impl TraceSink for CycleSim {
         let addr = info.addr;
         let mut earliest = self.fetch_ready;
         if let Some(ic) = &mut self.icache {
+            self.fetch_line = addr & self.line_mask;
             if ic.read(addr) {
                 // Fetch stalls while the line fills.
                 self.fetch_ready =
@@ -910,6 +942,62 @@ mod tests {
         assert_eq!(perfect.ret, cached.ret);
         assert_eq!(cached.dcache_misses, 4096 / 8, "one miss per 64B line");
         assert!(cached.cycles > perfect.cycles);
+    }
+
+    /// Simulates `m` with the fast flags baked as usual and with them
+    /// stripped (every event on the full path): each run's stats and,
+    /// under caches, its I-cache (hits, misses).
+    fn fast_and_full(m: &Module, memory: MemoryModel) -> [(SimStats, Option<(u64, u64)>); 2] {
+        let machine = MachineConfig::new(4, 1);
+        let config = SimConfig {
+            memory,
+            ..SimConfig::default()
+        };
+        [true, false].map(|fast| {
+            let mut sink = CycleSim::new(m, machine, config);
+            if !fast {
+                for i in &mut sink.info {
+                    i.flags &= !(F_FAST | F_FAST_LINE);
+                }
+            }
+            let out = Emulator::new(m).run("main", &[], &mut sink).unwrap();
+            let icache = sink.icache.as_ref().map(|c| (c.hits(), c.misses()));
+            let mut stats = sink.finish();
+            stats.ret = out.ret;
+            (stats, icache)
+        })
+    }
+
+    #[test]
+    fn fast_path_is_bit_identical_under_every_memory_model() {
+        // A tiny I-cache too, so fetches conflict and miss mid-run, and
+        // one whose lines are no power of two (no fast path at all).
+        let cache = |size, line| CacheConfig {
+            size,
+            line,
+            miss_penalty: 5,
+        };
+        let memories = [
+            MemoryModel::Perfect,
+            MemoryModel::Caches(CacheConfig::default()),
+            MemoryModel::Caches(cache(256, 16)),
+            MemoryModel::Caches(cache(384, 24)),
+        ];
+        let machine = MachineConfig::new(4, 1);
+        for mut m in [
+            simple_loop_module(300),
+            double_call_module(true),
+            guarded_branch_module(50),
+        ] {
+            schedule_module(&mut m, &machine).unwrap();
+            for memory in memories {
+                let [fast, full] = fast_and_full(&m, memory);
+                assert_eq!(fast, full, "{memory:?}");
+                if let Some((hits, misses)) = fast.1 {
+                    assert_eq!(hits + misses, fast.0.insts, "every fetch is counted");
+                }
+            }
+        }
     }
 
     #[test]
