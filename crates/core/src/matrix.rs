@@ -890,7 +890,8 @@ fn with_retries<T>(
 
 /// Simulates a compiled module from `main(args)`, arming `sim`'s
 /// cooperative wall-clock deadline `deadline` from now (the cycle budget
-/// bounds simulated work, the deadline bounds host time).
+/// bounds simulated work, the deadline bounds host time). A deadline
+/// past what the clock can represent is no deadline.
 fn simulate_within(
     module: &Module,
     decoded: &Arc<DecodedModule>,
@@ -900,7 +901,7 @@ fn simulate_within(
     deadline: Option<Duration>,
 ) -> Result<SimStats, PipelineError> {
     if let Some(d) = deadline {
-        sim.deadline = Some(Instant::now() + d);
+        sim.deadline = Instant::now().checked_add(d);
     }
     Ok(simulate_decoded(
         module,
@@ -1585,6 +1586,93 @@ mod tests {
             run.stats.cells.len() <= 2,
             "no cell past the limit may have run"
         );
+    }
+
+    /// A deadline the clock cannot represent is no deadline, not an
+    /// overflow panic: the cell simulates to the same stats.
+    #[test]
+    fn unrepresentable_deadline_is_no_deadline() {
+        let pipe = Pipeline::default();
+        let machine = MachineConfig::new(8, 1);
+        let args = [7];
+        let front = pipe
+            .front("int main(int n) { return n * 6; }", &args)
+            .expect("front half");
+        let module = pipe
+            .finish(&front, Model::FullPred, &machine)
+            .expect("finish");
+        let decoded = Arc::new(DecodedModule::decode(&module));
+        let run = |deadline| {
+            simulate_within(
+                &module,
+                &decoded,
+                &args,
+                machine,
+                SimConfig::default(),
+                deadline,
+            )
+            .expect("simulates")
+        };
+        assert_eq!(run(Some(Duration::MAX)), run(None));
+    }
+
+    /// Every matrix cell arms its deadline through that helper: one the
+    /// clock cannot represent fails no cell and changes no result.
+    #[test]
+    fn matrix_under_unrepresentable_deadline_fails_no_cell() {
+        let good = Workload {
+            name: "good",
+            description: "healthy",
+            source: "int main() { int i; int s; s = 0;
+                     for (i = 0; i < 50; i += 1) { s += i; } return s; }"
+                .to_string(),
+            args: Vec::new(),
+        };
+        let run = |deadline| {
+            let run = run_matrix(
+                &[Experiment::fig8()],
+                std::slice::from_ref(&good),
+                &Pipeline::default(),
+                &MatrixConfig {
+                    threads: 1,
+                    policy: FailurePolicy::KeepGoing,
+                    deadline,
+                    ..MatrixConfig::default()
+                },
+            );
+            assert!(run.report.is_empty(), "deadline {deadline:?} failed a cell");
+            let figures = run.into_figures().expect("every cell completes");
+            figures[0]
+                .iter()
+                .map(|r| (r.base.clone(), r.models.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(Some(Duration::MAX)), run(None));
+    }
+
+    /// So does the request path: a request under a deadline the clock
+    /// cannot represent completes with the stats it has without one.
+    #[test]
+    fn request_under_unrepresentable_deadline_completes() {
+        let req = CellRequest {
+            name: "times6".to_string(),
+            source: "int main(int n) { return n * 6; }".to_string(),
+            args: vec![7],
+            model: Model::FullPred,
+            issue: 8,
+            branches: 1,
+            memory: MemoryModel::Perfect,
+            max_cycles: 1_000_000,
+        };
+        let pipe = Pipeline::default();
+        let run = |deadline| {
+            let cfg = RequestConfig {
+                deadline,
+                ..RequestConfig::default()
+            };
+            run_request(&req, &pipe, &cfg).expect("request completes")
+        };
+        assert_eq!(run(Some(Duration::MAX)), run(None));
     }
 
     /// Pins the content address of one matrix cell and one service

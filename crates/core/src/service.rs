@@ -800,8 +800,8 @@ pub fn run_load(
             CellStatus::Conflict => report.conflicts += 1,
         }
     }
-    // Clamp like the bench harness: a sub-nanosecond wall must report a
-    // finite rate the JSON layer can round-trip.
+    // A sub-nanosecond wall must still report a finite rate the JSON
+    // layer can round-trip.
     let secs = wall.as_secs_f64().max(1e-9);
     report.requests_per_sec = report.sent as f64 / secs;
     if report.sent > 0 {

@@ -3,7 +3,9 @@
 //! error (exit 2), never the `MachineConfig::new` assert (a panic, exit
 //! 101), and so is a zero budget or count that would run nothing worth
 //! reporting; `run`/`sim`/`dump` take workload names like `lint`, and
-//! `sim` divides by the figures' denominator.
+//! `sim` divides by the figures' denominator. `figures` takes only the
+//! names its usage line lists and deadlines the clock can hold, and
+//! prints the expected tables.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -13,6 +15,114 @@ fn hyperpredc(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("spawn hyperpredc")
+}
+
+fn figures(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(args)
+        .output()
+        .expect("spawn figures")
+}
+
+/// Asserts that each argument list is a usage error before any cell
+/// runs: exit 2, the usage line on stderr and no table on stdout.
+fn assert_figures_usage_errors(cases: &[&[&str]]) {
+    for args in cases {
+        let out = figures(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "figures {args:?}\nstderr:\n{stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a table");
+    }
+}
+
+/// A name outside the usage line's six is an error, never silently
+/// dropped beside a valid one; `test` is spelled `--scale test`.
+#[test]
+fn figures_rejects_names_outside_its_usage_line() {
+    assert_figures_usage_errors(&[
+        &["fig12"],
+        &["fig8", "fig12"],
+        &["tablexyz", "fig9"],
+        &["FIG8"],
+        &["test"],
+    ]);
+}
+
+/// The retired bench flags and malformed values are usage errors.
+#[test]
+fn figures_rejects_retired_and_malformed_flags() {
+    assert_figures_usage_errors(&[
+        &["--bench", "1"],
+        &["--bench-out", "x.json"],
+        &["--bench-baseline", "x.json"],
+        &["--threads", "x"],
+        &["--threads"],
+        &["--scale", "huge"],
+    ]);
+}
+
+/// A deadline must be positive and fit a `Duration`: never a panic
+/// converting it.
+#[test]
+fn figures_rejects_deadlines_a_duration_cannot_hold() {
+    assert_figures_usage_errors(&[
+        &["--deadline", "0"],
+        &["--deadline", "-1"],
+        &["--deadline", "nan"],
+        &["--deadline", "inf"],
+        &["--deadline", "1e20"],
+        &["--deadline"],
+    ]);
+}
+
+/// The expected test-scale tables, one block per figure or table, each
+/// ending in its blank line.
+fn expected_test_blocks() -> Vec<String> {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../benchmark/expected/figures_test.txt"
+    );
+    let text = std::fs::read_to_string(path).expect("read expected figures");
+    text.split_inclusive("\n\n").map(str::to_string).collect()
+}
+
+/// The whole test-scale matrix prints exactly the expected tables.
+#[test]
+fn figures_test_scale_prints_the_expected_tables() {
+    let out = figures(&["--scale", "test"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        expected_test_blocks().concat()
+    );
+}
+
+/// Named tables print in the matrix's order and nothing else does, even
+/// when a table (here Table 2) comes from another figure's cells.
+#[test]
+fn figures_prints_only_the_named_tables() {
+    let out = figures(&["--scale", "test", "table2", "fig9"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let expected: String = expected_test_blocks()
+        .into_iter()
+        .filter(|b| b.starts_with("Figure 9:") || b.starts_with("Table 2:"))
+        .collect();
+    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
 }
 
 #[test]
