@@ -1,11 +1,11 @@
 //! `hyperpredc`'s shared option parser and target resolver, driven
 //! through the binary: a zero issue width or branch-slot count is a usage
 //! error (exit 2), never the `MachineConfig::new` assert (a panic, exit
-//! 101), and so is a zero budget or count that would run nothing worth
-//! reporting; `run`/`sim`/`dump` take workload names like `lint`, and
-//! `sim` divides by the figures' denominator. `figures` takes only the
-//! names its usage line lists and deadlines the clock can hold, and
-//! prints the expected tables.
+//! 101), and so are more branch slots than issue slots and a zero budget
+//! or count that would run nothing worth reporting; `run`/`sim`/`dump`
+//! take workload names like `lint`, and `sim` divides by the figures'
+//! denominator. `figures` takes only the names its usage line lists and
+//! deadlines the clock can hold, and prints the expected tables.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -174,17 +174,10 @@ fn sim_and_dump_take_workload_names() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("scheduled for 8-issue"));
 }
 
-#[test]
-fn zero_budgets_and_counts_are_usage_errors() {
-    for args in [
-        &["soak", "--cells", "1", "--widths", "0x1"][..],
-        &["soak", "--cells", "1", "--max-cycles", "0"],
-        &["soak", "--cells", "1", "--fuel", "0"],
-        &["bench-load", "--batch", "0"],
-        &["bench-load", "--cells", "0"],
-        &["fsck"],
-        &["fsck", "--repair"],
-    ] {
+/// Asserts that each argument list is a `hyperpredc` usage error: exit 2
+/// with the usage line on stderr.
+fn assert_hyperpredc_usage_errors(cases: &[&[&str]]) {
+    for args in cases {
         let out = hyperpredc(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(
@@ -194,6 +187,37 @@ fn zero_budgets_and_counts_are_usage_errors() {
         );
         assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn zero_budgets_and_counts_are_usage_errors() {
+    assert_hyperpredc_usage_errors(&[
+        &["soak", "--cells", "1", "--widths", "0x1"],
+        &["soak", "--cells", "1", "--max-cycles", "0"],
+        &["soak", "--cells", "1", "--fuel", "0"],
+        &["bench-load", "--batch", "0"],
+        &["bench-load", "--cells", "0"],
+        &["fsck"],
+        &["fsck", "--repair"],
+    ]);
+}
+
+/// A machine with more branch slots than issue slots is one the daemon
+/// refuses (`CellRequest::validate`), so no subcommand runs it either,
+/// whichever order the flags come in.
+#[test]
+fn more_branch_slots_than_issue_slots_are_usage_errors() {
+    assert_hyperpredc_usage_errors(&[
+        &["run", "wc", "--issue", "2", "--branches", "3"],
+        &["sim", "wc", "--branches", "3", "--issue", "2"],
+        &["dump", "wc", "--issue", "2", "--branches", "3"],
+        &["lint", "wc", "--issue", "2", "--branches", "3"],
+        &["analyze", "wc", "--issue", "2", "--branches", "3"],
+        &["sim", "wc", "--branches", "9"],
+        &["bench-load", "--issue", "2", "--branches", "3"],
+        &["soak", "--cells", "1", "--widths", "2x9"],
+        &["soak", "--cells", "1", "--widths", "1x1,2x3"],
+    ]);
 }
 
 /// The speedup denominator is the paper's, the 1-issue superblock on

@@ -73,24 +73,12 @@ impl BitSet {
 
     /// Intersects with `other`; true if `self` shrank.
     pub fn intersect_with(&mut self, other: &BitSet) -> bool {
-        let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let new = *a & *b;
-            changed |= new != *a;
-            *a = new;
-        }
-        changed
+        and_into(&mut self.words, &other.words)
     }
 
     /// Unions with `other`; true if `self` grew.
     pub fn union_with(&mut self, other: &BitSet) -> bool {
-        let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let new = *a | *b;
-            changed |= new != *a;
-            *a = new;
-        }
-        changed
+        or_into(&mut self.words, &other.words)
     }
 
     /// Sets every id.
@@ -104,25 +92,50 @@ impl BitSet {
         self.words.iter_mut().for_each(|w| *w = 0);
     }
 
-    /// True if the two sets share any id.
-    pub fn intersects(&self, other: &BitSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
-    }
-
     /// Iterates the ids present, in ascending order.
     pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &bits)| {
-            let mut rest = bits;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let b = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                Some(w * 64 + b)
-            })
-        })
+        ones(&self.words)
     }
+}
+
+/// `a &= b` word by word; true if `a` shrank.
+fn and_into(a: &mut [u64], b: &[u64]) -> bool {
+    let mut changed = false;
+    for (a, b) in a.iter_mut().zip(b) {
+        changed |= *a & !*b != 0;
+        *a &= *b;
+    }
+    changed
+}
+
+/// `a |= b` word by word; true if `a` grew.
+fn or_into(a: &mut [u64], b: &[u64]) -> bool {
+    let mut changed = false;
+    for (a, b) in a.iter_mut().zip(b) {
+        changed |= *b & !*a != 0;
+        *a |= *b;
+    }
+    changed
+}
+
+/// The ids set in `words`, in ascending order.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &bits)| {
+        let mut rest = bits;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let b = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            Some(w * 64 + b)
+        })
+    })
+}
+
+/// The word index and mask of id `i`.
+fn bit(i: usize) -> (usize, u64) {
+    (i / 64, 1u64 << (i % 64))
 }
 
 /// A forward dataflow analysis: state lattice + transfer function.
@@ -234,19 +247,24 @@ pub fn walk_block<A: ForwardAnalysis>(
 /// leaves its register *defined under* that guard predicate, and a read
 /// guarded by the same predicate (or one known to imply it) is then safe —
 /// when the guard is true, the write executed.
+///
+/// Both conditional relations are flat bit matrices, one `Vec<u64>` each,
+/// so a clone or a meet is one allocation or one word loop per relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DefState {
     /// General registers guaranteed written on every path to this point.
     pub regs: BitSet,
-    /// Per general register: predicates under which it is guaranteed
-    /// written (when any of them is true, the register holds a value).
-    reg_under: Vec<BitSet>,
+    /// Predicate-major, one row of register words per predicate: row `p`
+    /// holds the general registers guaranteed written whenever `p` is
+    /// true.
+    under: Vec<u64>,
     /// Predicate registers guaranteed written on every path.
     pub preds: BitSet,
-    /// Per predicate `q`: predicates `p` with `q == true → p == true`,
-    /// from U/U̅-type defines (`q` is `Pin ∧ ±cmp`, so `q` implies `Pin`),
-    /// closed transitively and invalidated when either side is rewritten.
-    implies: Vec<BitSet>,
+    /// Predicates × predicates: row `q` holds the `p` with
+    /// `q == true → p == true`, from U/U̅-type defines (`q` is
+    /// `Pin ∧ ±cmp`, so `q` implies `Pin`), closed transitively and
+    /// invalidated when either side is rewritten.
+    implies: Vec<u64>,
     /// Partition facts `[a, b, t]`, sorted: `a ∨ b ⊇ t`, where `t` is a
     /// predicate index or [`TOP`] (the fact covers every path). Derived
     /// from dual defines that carve one comparison into complementary
@@ -259,6 +277,12 @@ pub struct DefState {
 const TOP: u32 = u32::MAX;
 
 impl DefState {
+    /// True if register `r` is written whenever predicate `p` is true.
+    fn written_under(&self, p: usize, r: usize) -> bool {
+        let (w, m) = bit(r);
+        self.under[p * self.regs.words.len() + w] & m != 0
+    }
+
     /// True if general register `r` is definitely defined on every path.
     pub fn reg(&self, r: Reg) -> bool {
         self.regs.contains(r.index())
@@ -268,24 +292,30 @@ impl DefState {
     /// defined value: `r` is fully defined, or it is defined under the
     /// guard itself or under some predicate the guard implies.
     pub fn reg_ok(&self, r: Reg, guard: Option<PredReg>) -> bool {
-        if self.regs.contains(r.index()) {
+        let r = r.index();
+        if self.regs.contains(r) {
             return true;
         }
-        let under = &self.reg_under[r.index()];
         // Saturate the write predicates through the partition facts: if a
         // covered pair spans t, then t's truth also guarantees a write.
         // Spanning ⊤ means some write happened on every path. Nested
         // if-then-else chains need the chaining (p6 ∨ p7 ⊇ p5, then
-        // p4 ∨ p5 ⊇ ⊤), hence the fixpoint loop; fact lists are tiny.
-        let mut cov = under.clone();
+        // p4 ∨ p5 ⊇ ⊤), hence the fixpoint loop; fact lists are tiny, and
+        // `spanned` holds the predicates saturation added.
+        let mut spanned: Vec<u32> = Vec::new();
+        let covered =
+            |p: u32, spanned: &[u32]| self.written_under(p as usize, r) || spanned.contains(&p);
         loop {
             let mut changed = false;
             for &[a, b, t] in &self.partitions {
-                if cov.contains(a as usize) && cov.contains(b as usize) {
+                if covered(a, &spanned) && covered(b, &spanned) {
                     if t == TOP {
                         return true;
                     }
-                    changed |= cov.insert(t as usize);
+                    if !covered(t, &spanned) {
+                        spanned.push(t);
+                        changed = true;
+                    }
                 }
             }
             if !changed {
@@ -295,7 +325,9 @@ impl DefState {
         let Some(g) = guard else { return false };
         // The guard being true at the read must force one of the writes:
         // directly, through saturation, or through a U-type implication.
-        cov.contains(g.index()) || under.intersects(&self.implies[g.index()])
+        let (g, pw) = (g.index(), self.preds.words.len());
+        covered(g as u32, &spanned)
+            || ones(&self.implies[g * pw..(g + 1) * pw]).any(|p| self.written_under(p, r))
     }
 
     /// True if predicate register `p` is definitely defined.
@@ -330,12 +362,13 @@ impl ForwardAnalysis for MustDefined {
         for &p in &f.params {
             regs.insert(p.index());
         }
-        let np = f.pred_count as usize;
+        let preds = BitSet::empty(f.pred_count as usize);
+        let np = preds.capacity();
         DefState {
+            under: vec![0; np * regs.words.len()],
+            implies: vec![0; np * preds.words.len()],
             regs,
-            reg_under: vec![BitSet::empty(np); f.reg_count as usize],
-            preds: BitSet::empty(np),
-            implies: vec![BitSet::empty(np); np],
+            preds,
             partitions: Vec::new(),
         }
     }
@@ -343,12 +376,8 @@ impl ForwardAnalysis for MustDefined {
     fn meet(&self, into: &mut DefState, other: &DefState) -> bool {
         let mut changed = into.regs.intersect_with(&other.regs);
         changed |= into.preds.intersect_with(&other.preds);
-        for (a, b) in into.reg_under.iter_mut().zip(&other.reg_under) {
-            changed |= a.intersect_with(b);
-        }
-        for (a, b) in into.implies.iter_mut().zip(&other.implies) {
-            changed |= a.intersect_with(b);
-        }
+        changed |= and_into(&mut into.under, &other.under);
+        changed |= and_into(&mut into.implies, &other.implies);
         let before = into.partitions.len();
         into.partitions
             .retain(|p| other.partitions.binary_search(p).is_ok());
@@ -356,6 +385,7 @@ impl ForwardAnalysis for MustDefined {
     }
 
     fn transfer(&self, inst: &Inst, state: &mut DefState) {
+        let (rw, pw) = (state.regs.words.len(), state.preds.words.len());
         // General-register destination.
         if let Some(d) = inst.dst {
             if matches!(inst.op, Op::Cmov | Op::CmovCom) {
@@ -369,7 +399,8 @@ impl ForwardAnalysis for MustDefined {
                 // that coverage from general-register boolean algebra.
                 state.regs.insert(d.index());
             } else if let Some(g) = inst.guard {
-                state.reg_under[d.index()].insert(g.index());
+                let (w, m) = bit(d.index());
+                state.under[g.index() * rw + w] |= m;
             } else {
                 state.regs.insert(d.index());
             }
@@ -379,8 +410,8 @@ impl ForwardAnalysis for MustDefined {
             // The whole file takes constant values: everything is defined,
             // but every conditional fact about old values is gone.
             state.preds.set_all();
-            state.reg_under.iter_mut().for_each(BitSet::clear);
-            state.implies.iter_mut().for_each(BitSet::clear);
+            state.under.fill(0);
+            state.implies.fill(0);
             state.partitions.clear();
             return;
         }
@@ -392,14 +423,13 @@ impl ForwardAnalysis for MustDefined {
             if !pd.ty.is_and_family() {
                 // q may become true on paths where it was false: registers
                 // defined under the old q are no longer covered by it.
-                for under in &mut state.reg_under {
-                    under.remove(q);
-                }
+                state.under[q * rw..(q + 1) * rw].fill(0);
             }
             if !pd.ty.is_or_family() {
                 // q may become false where it was true: `x → q` dies.
-                for imp in &mut state.implies {
-                    imp.remove(q);
+                let (w, m) = bit(q);
+                for row in state.implies.chunks_exact_mut(pw) {
+                    row[w] &= !m;
                 }
             }
             // Partition facts and the write to q: on the operand side
@@ -415,20 +445,19 @@ impl ForwardAnalysis for MustDefined {
             // the guard: q = Pin ∧ ±cmp (U) or old ∨ (Pin ∧ ±cmp) (OR), so
             // the freshly-set part implies Pin and everything Pin implies.
             if !pd.ty.is_and_family() {
-                let incoming = match inst.guard {
-                    Some(p) => {
-                        let mut s = state.implies[p.index()].clone();
-                        s.insert(p.index());
-                        s
+                for w in 0..pw {
+                    let incoming = inst.guard.map_or(0, |p| {
+                        let p = p.index();
+                        state.implies[p * pw + w] | u64::from(p / 64 == w) << (p % 64)
+                    });
+                    let cell = &mut state.implies[q * pw + w];
+                    if pd.ty.is_or_family() {
+                        // q is old-q or freshly set: keep only implications
+                        // valid for both parts.
+                        *cell &= incoming;
+                    } else {
+                        *cell = incoming;
                     }
-                    None => BitSet::empty(state.implies.len()),
-                };
-                if pd.ty.is_or_family() {
-                    // q is old-q or freshly set: keep only implications
-                    // valid for both parts.
-                    state.implies[q].intersect_with(&incoming);
-                } else {
-                    state.implies[q] = incoming;
                 }
             }
         }
@@ -459,16 +488,18 @@ impl ForwardAnalysis for MustDefined {
         // every register defined under the guard (or under a predicate
         // the guard implies) was definitely written.
         let Some(g) = inst.guard else { return };
+        let g = g.index();
         let DefState {
             regs,
-            reg_under,
+            under,
             implies,
+            preds,
             ..
         } = state;
-        for (r, under) in reg_under.iter().enumerate() {
-            if under.contains(g.index()) || under.intersects(&implies[g.index()]) {
-                regs.insert(r);
-            }
+        let (rw, pw) = (regs.words.len(), preds.words.len());
+        or_into(&mut regs.words, &under[g * rw..(g + 1) * rw]);
+        for p in ones(&implies[g * pw..(g + 1) * pw]) {
+            or_into(&mut regs.words, &under[p * rw..(p + 1) * rw]);
         }
     }
 }

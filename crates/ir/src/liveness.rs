@@ -153,19 +153,6 @@ impl LiveSet {
     }
 }
 
-/// Registers read by `inst`, including the implicit destination read of a
-/// partial definition.
-pub fn uses_of(inst: &Inst) -> (Vec<Reg>, Vec<PredReg>) {
-    let mut regs: Vec<Reg> = inst.src_regs().collect();
-    if inst.is_partial_reg_def() {
-        if let Some(d) = inst.dst {
-            regs.push(d);
-        }
-    }
-    let preds: Vec<PredReg> = inst.pred_uses().collect();
-    (regs, preds)
-}
-
 /// Applies `inst` backwards to a live set: removes killed definitions, adds
 /// uses.
 pub fn step_backwards(inst: &Inst, live: &mut LiveSet) {
@@ -189,10 +176,13 @@ pub fn step_backwards(inst: &Inst, live: &mut LiveSet) {
         // OR/AND types are partial: no kill (their use was added by
         // pred_uses()).
     }
-    // Uses.
-    let (regs, preds) = uses_of(inst);
-    live.regs.extend(regs);
-    live.preds.extend(preds);
+    // Uses, including the implicit destination read of a partial
+    // definition.
+    live.regs.extend(inst.src_regs());
+    if inst.is_partial_reg_def() {
+        live.regs.extend(inst.dst);
+    }
+    live.preds.extend(inst.pred_uses());
 }
 
 /// Per-block liveness results.

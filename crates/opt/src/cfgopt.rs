@@ -105,67 +105,93 @@ pub fn remove_jump_to_next(f: &mut Function) -> bool {
 /// Merges a block into its unique predecessor when control can only flow
 /// between them (predecessor ends with an unconditional jump to it or falls
 /// through, successor has exactly one predecessor).
+///
+/// One forward scan makes the merges a restart from the top after each
+/// merge would make, in the same order. Merging `s` into `b` can change
+/// the eligibility of only three kinds of block: `b` (new body), `b`'s
+/// predecessors (`b` may now end explicitly) and the block now laid out
+/// before `s`'s old slot (new layout successor). Every block before the
+/// earliest of them was ineligible and still is, so the scan resumes
+/// there.
 pub fn merge_blocks(f: &mut Function) -> bool {
+    let mut preds = f.preds();
     let mut changed = false;
-    loop {
-        let preds = f.preds();
-        let mut merged = false;
-        for &b in &f.layout.clone() {
-            // b's only way out must be a single edge to s.
-            let succs = f.succs(b);
-            let [s] = succs.as_slice() else { continue };
-            let s = *s;
-            if s == b || s == f.entry() || preds[s.index()].len() != 1 {
-                continue;
+    let mut i = 0;
+    while let Some(&b) = f.layout.get(i) {
+        let Some(s) = mergeable_successor(f, &preds, b) else {
+            i += 1;
+            continue;
+        };
+        // Remove a trailing unconditional jump to s.
+        let insts = &mut f.block_mut(b).insts;
+        if let Some(last) = insts.last() {
+            if last.op == Op::Jump && last.guard.is_none() && last.target == Some(s) {
+                insts.pop();
+            } else if last.ends_block() {
+                i += 1;
+                continue; // ret/halt: no merge
             }
-            // b must not branch into s conditionally (only jump/fall).
-            let jumps_conditionally = f
-                .block(b)
-                .insts
-                .iter()
-                .any(|i| matches!(i.op, Op::Br(_)) && i.target == Some(s));
-            if jumps_conditionally {
-                continue;
-            }
-            // If s itself falls through, its fall-through target is
-            // layout_next(s); appending its body to b is only correct when
-            // b directly precedes s (so the layouts line up after removal)
-            // or s ends explicitly.
-            if !f.block(s).ends_explicitly() && f.layout_next(b) != Some(s) {
-                continue;
-            }
-            // Remove a trailing unconditional jump to s.
-            {
-                let insts = &mut f.block_mut(b).insts;
-                if let Some(last) = insts.last() {
-                    if last.op == Op::Jump && last.guard.is_none() && last.target == Some(s) {
-                        insts.pop();
-                    } else if last.ends_block() {
-                        continue; // ret/halt: no merge
-                    }
+        }
+        // If b now falls through, it must have been directly followed by
+        // s or end in the popped jump; either way appending is correct.
+        let moved = std::mem::take(&mut f.block_mut(s).insts);
+        f.block_mut(b).insts.extend(moved);
+        let slot = f.layout_pos(s).expect("merged block is laid out");
+        f.layout.remove(slot);
+        // b inherits s's successors and with them s's place in their
+        // predecessor lists.
+        preds[s.index()].clear();
+        for t in f.succs(b) {
+            for p in &mut preds[t.index()] {
+                if *p == s {
+                    *p = b;
                 }
             }
-            // If b now falls through, it must have been directly followed by
-            // s or end in the popped jump; either way appending is correct.
-            let moved = std::mem::take(&mut f.block_mut(s).insts);
-            f.block_mut(b).insts.extend(moved);
-            f.layout.retain(|&x| x != s);
-            merged = true;
-            changed = true;
-            break;
         }
-        if !merged {
-            break;
-        }
+        changed = true;
+        let before = f.layout[slot - 1];
+        i = f
+            .layout
+            .iter()
+            .position(|&x| x == b || x == before || preds[b.index()].contains(&x))
+            .expect("b is laid out");
     }
     changed
+}
+
+/// The block `b` could absorb: its only successor `s`, entered only from
+/// `b`, by a jump or fall-through rather than a conditional branch, and
+/// either ending explicitly or laid out right after `b` (so its own
+/// fall-through still lines up after the merge).
+fn mergeable_successor(f: &Function, preds: &[Vec<BlockId>], b: BlockId) -> Option<BlockId> {
+    let [s] = f.succs(b)[..] else { return None };
+    if s == b || s == f.entry() || preds[s.index()].len() != 1 {
+        return None;
+    }
+    let jumps_conditionally = f
+        .block(b)
+        .insts
+        .iter()
+        .any(|i| matches!(i.op, Op::Br(_)) && i.target == Some(s));
+    if jumps_conditionally || !f.block(s).ends_explicitly() && f.layout_next(b) != Some(s) {
+        return None;
+    }
+    Some(s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hyperpred_ir::verify::verify_function;
-    use hyperpred_ir::{CmpOp, FuncBuilder, Operand};
+    use hyperpred_ir::{CmpOp, FuncBuilder, InstId, Operand};
+
+    /// The ids of the instructions of `blocks`, in order.
+    fn ids(f: &Function, blocks: &[BlockId]) -> Vec<InstId> {
+        blocks
+            .iter()
+            .flat_map(|&b| f.block(b).insts.iter().map(|i| i.id))
+            .collect()
+    }
 
     #[test]
     fn folds_taken_branch_to_jump() {
@@ -258,6 +284,70 @@ mod tests {
         // header has 2 preds (entry + itself): no merge.
         merge_blocks(&mut f);
         assert_eq!(f.layout.len(), 2);
+        assert!(verify_function(&f).is_ok());
+    }
+
+    /// `s` falls through to `t`, so `a`'s jump to `s` cannot absorb it
+    /// until `s` absorbs `t` and ends in `t`'s `ret`; `a` is laid out
+    /// before `s`, so the scan must come back to it.
+    #[test]
+    fn merges_a_successor_once_it_ends_explicitly() {
+        let mut b = FuncBuilder::new("t");
+        let x = b.param();
+        let (side, s, t) = (b.block(), b.block(), b.block());
+        b.add(x.into(), Operand::Imm(1));
+        b.jump(s);
+        b.switch_to(side);
+        b.ret(None);
+        b.switch_to(s);
+        b.add(x.into(), Operand::Imm(2));
+        b.switch_to(t);
+        b.br(CmpOp::Eq, x.into(), Operand::Imm(0), side);
+        b.ret(None);
+        let mut f = b.finish();
+        let a = f.entry();
+        let mut merged = ids(&f, &[a, s, t]);
+        merged.remove(1); // `a`'s jump to `s`
+        assert!(merge_blocks(&mut f));
+        assert_eq!(f.layout, [a, side], "{f}");
+        assert_eq!(ids(&f, &[a]), merged);
+        assert!(verify_function(&f).is_ok());
+    }
+
+    /// Once `b` absorbs `s`, `y` (laid out just before `s`, jumping to
+    /// the fall-through block `z`) directly precedes `z` and can absorb
+    /// it, although neither `b` nor its predecessor `z` comes before `y`.
+    #[test]
+    fn merges_into_the_block_before_a_merged_away_slot() {
+        let mut bld = FuncBuilder::new("t");
+        let x = bld.param();
+        let (y, s, z, b, r) = (
+            bld.block(),
+            bld.block(),
+            bld.block(),
+            bld.block(),
+            bld.block(),
+        );
+        bld.br(CmpOp::Eq, x.into(), Operand::Imm(0), r);
+        bld.switch_to(y);
+        bld.jump(z);
+        bld.switch_to(s);
+        bld.add(x.into(), Operand::Imm(1));
+        bld.ret(None);
+        bld.switch_to(z);
+        bld.add(x.into(), Operand::Imm(2));
+        bld.br(CmpOp::Eq, x.into(), Operand::Imm(1), b);
+        bld.switch_to(b);
+        bld.jump(s);
+        bld.switch_to(r);
+        bld.ret(None);
+        let mut f = bld.finish();
+        let e = f.entry();
+        let (into_y, into_b) = (ids(&f, &[z]), ids(&f, &[s]));
+        assert!(merge_blocks(&mut f));
+        assert_eq!(f.layout, [e, y, b, r], "{f}");
+        assert_eq!(ids(&f, &[y]), into_y);
+        assert_eq!(ids(&f, &[b]), into_b);
         assert!(verify_function(&f).is_ok());
     }
 }
